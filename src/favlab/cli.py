@@ -247,6 +247,14 @@ def cmd_schedule(args):
     return 0
 
 
+def level(text):
+    """argparse type for a level or depth: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="favlab")
     p.add_argument("--seed", type=int, default=0)
@@ -262,13 +270,13 @@ def build_parser():
 
     sp = add("render", cmd_render)
     sp.add_argument("--ifs", required=True)
-    sp.add_argument("--depth", type=int, required=True)
+    sp.add_argument("--depth", type=level, required=True)
     sp.add_argument("--svg")
     sp.add_argument("--theta")
 
     sp = add("favard", cmd_favard)
     sp.add_argument("--ifs", required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=level, required=True)
     sp.add_argument("--angles", type=int, required=True)
     sp.add_argument("--hull", action="store_true")
     sp.add_argument("--csv")
@@ -309,14 +317,14 @@ def build_parser():
     sp.add_argument("--ifs", required=True)
     sp.add_argument("--u", required=True)
     sp.add_argument("--v", required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=level, required=True)
     sp.add_argument("--eps", type=float, default=1e-6)
     sp.add_argument("--out")
 
     sp = add("density", cmd_density)
     sp.add_argument("--ifs", required=True)
     sp.add_argument("--theta", required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=level, required=True)
     sp.add_argument("--cert", required=True)
     sp.add_argument("--csv")
 
@@ -325,7 +333,7 @@ def build_parser():
     sp.add_argument("--ax", type=float, required=True)
     sp.add_argument("--ay", type=float, required=True)
     sp.add_argument("--s", type=float, required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=level, required=True)
     sp.add_argument("--csv")
 
     sp = add("dioph", cmd_dioph)
@@ -356,7 +364,7 @@ def build_parser():
 
     sp = add("schedule", cmd_schedule)
     sp.add_argument("--ifs", required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=level, required=True)
     sp.add_argument("--c1", type=float, default=1.0)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--d", type=float, default=2.0)

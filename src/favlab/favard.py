@@ -1,13 +1,19 @@
 """Level covers, projected interval unions, Favard quadrature, the decay
 schedule and bound curves.  The per-angle sweep is the hot path: cylinder
-centers are built once per level as numpy arrays and each angle costs one
-projection, one sort and one vectorized merge."""
+data are built once per level as numpy arrays and each angle costs one
+projection and one sort-and-sweep union.  When the body is the enclosing
+disk and every level-n ratio is exactly equal (homogeneous systems, with or
+without reflections), all intervals share one width and the union sorts the
+projected centres in place, with no argsort, gather or running maximum; hull
+bodies and mixed ratios take the general argsort union.  Both give the same
+bits."""
 
 from __future__ import annotations
 
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,23 +48,30 @@ class IntervalSet:
         return len(self.los)
 
 
-def merge_intervals(los, his):
-    """Sort-and-sweep union of closed intervals; touching ones coalesce."""
-    los = np.asarray(los, dtype=float)
-    his = np.asarray(his, dtype=float)
-    if len(los) == 0:
-        return IntervalSet(los, his)
-    order = np.argsort(los, kind="stable")
-    lo, hi = los[order], his[order]
-    cummax = np.maximum.accumulate(hi)
-    new = np.empty(len(lo), dtype=bool)
-    new[0] = True
-    new[1:] = lo[1:] > cummax[:-1]
-    idx = np.flatnonzero(new)
-    starts = lo[idx]
-    ends = np.empty(len(idx))
-    ends[:-1] = cummax[idx[1:] - 1]
-    ends[-1] = cummax[-1]
+def merge_intervals(los, his=None, *, half=None):
+    """Sort-and-sweep union of closed intervals; touching ones coalesce.
+
+    ``merge_intervals(centers, half=h)`` is the equal-width form: it unions
+    the intervals [c - h, c + h], h >= 0, and sorts ``centers`` in place.
+    Rounding of c - h and c + h is monotone in c, so one sort orders both
+    endpoint arrays and the running maximum of the right ends is the right
+    ends themselves.  The result is bit-identical to the general form on
+    the same intervals: ties in the left ends never separate components.
+    """
+    if half is None:
+        los = np.asarray(los, dtype=float)
+        order = np.argsort(los)
+        lo = los[order]
+        reach = np.maximum.accumulate(np.asarray(his, dtype=float)[order])
+    else:
+        centers = np.asarray(los, dtype=float)
+        centers.sort()
+        lo, reach = centers - half, centers + half
+    if len(lo) == 0:
+        return IntervalSet(lo, reach)
+    idx = np.flatnonzero(lo[1:] > reach[:-1]) + 1
+    starts = np.concatenate((lo[:1], lo[idx]))
+    ends = np.concatenate((reach[idx - 1], reach[-1:]))
     return IntervalSet(starts, ends)
 
 
@@ -85,14 +98,19 @@ class _LevelSweeper:
         self.body = body or DiskBody(ifs.center, ifs.R0)
         self.cap = cap
         self.n = 0
-        if isinstance(self.body, DiskBody):
-            self._centers = np.array([self.body.center], dtype=float)
+        self._disk = isinstance(self.body, DiskBody)
+        if self._disk:
+            cx, cy = self.body.center
+            self._x = np.array([cx], dtype=float)
+            self._y = np.array([cy], dtype=float)
             self._ratios = np.ones(1)
+            self._half = float(self.body.radius)
         else:
             self._r = np.ones(1)
             self._theta = np.zeros(1)
             self._orient = np.ones(1)
             self._t = np.zeros((1, 2))
+            self._half = None  # hull widths depend on orientation and angle
 
     def advance_to(self, n):
         if self.ifs.m**n > self.cap:
@@ -101,16 +119,27 @@ class _LevelSweeper:
             self._step()
             self.n += 1
 
+    def disks(self):
+        """Centre coordinates and ratios of the level-n cylinder disks (disk
+        body only)."""
+        return self._x, self._y, self._ratios
+
     def _step(self):
         ifs = self.ifs
-        if isinstance(self.body, DiskBody):
+        if self._disk:
+            centers = np.column_stack((self._x, self._y))
             pts, rats = [], []
             for f in ifs.maps:
                 m = f.matrix()
-                pts.append(f.r * self._centers @ m.T + np.array([f.tx, f.ty]))
+                pts.append(f.r * centers @ m.T + np.array([f.tx, f.ty]))
                 rats.append(f.r * self._ratios)
-            self._centers = np.vstack(pts)
+            pts = np.vstack(pts)
+            # contiguous coordinate arrays keep the per-angle projection cheap
+            self._x, self._y = pts[:, 0].copy(), pts[:, 1].copy()
             self._ratios = np.concatenate(rats)
+            # one exact common width selects the equal-width union
+            equal = np.all(self._ratios == self._ratios[0])
+            self._half = float(self._ratios[0]) * self.body.radius if equal else None
         else:
             rs, ths, ors, ts = [], [], [], []
             for f in ifs.maps:
@@ -124,11 +153,12 @@ class _LevelSweeper:
             self._orient = np.concatenate(ors)
             self._t = np.vstack(ts)
 
+    def _project(self, theta):
+        return self._x * math.cos(theta) + self._y * math.sin(theta)
+
     def intervals_at(self, theta):
-        if isinstance(self.body, DiskBody):
-            proj = self._centers[:, 0] * math.cos(theta) + self._centers[:, 1] * math.sin(
-                theta
-            )
+        if self._disk:
+            proj = self._project(theta)
             half = self._ratios * self.body.radius
             return proj - half, proj + half
         verts = self.body.vertices
@@ -139,17 +169,21 @@ class _LevelSweeper:
         mid = self._t[:, 0] * math.cos(theta) + self._t[:, 1] * math.sin(theta)
         return mid + self._r * sup.min(axis=1), mid + self._r * sup.max(axis=1)
 
+    def merged_at(self, theta):
+        """Union of the projected level-n intervals at angle theta."""
+        if self._half is not None:
+            return merge_intervals(self._project(theta), half=self._half)
+        return merge_intervals(*self.intervals_at(theta))
+
     def length_at(self, theta):
-        lo, hi = self.intervals_at(theta)
-        return merge_intervals(lo, hi).total_length
+        return self.merged_at(theta).total_length
 
 
 def level_projection_length(ifs, n, theta, body=None, cap=DEFAULT_INTERVAL_CAP):
     """Total length and merged interval set of the projected level-n cover."""
     sweeper = _LevelSweeper(ifs, body=body, cap=cap)
     sweeper.advance_to(n)
-    lo, hi = sweeper.intervals_at(theta)
-    merged = merge_intervals(lo, hi)
+    merged = sweeper.merged_at(theta)
     return merged.total_length, merged
 
 
@@ -187,14 +221,13 @@ def projection_sweep(ifs, ns, thetas, body=None, workers=None, cap=DEFAULT_INTER
     workers = workers or default_workers()
     sweeper = _LevelSweeper(ifs, body=body, cap=cap)
     out = {}
-    for n in ns:
-        sweeper.advance_to(n)
+    with ExitStack() as stack:
+        mapper = map
         if workers > 1 and len(thetas) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                lengths = list(pool.map(sweeper.length_at, thetas))
-        else:
-            lengths = [sweeper.length_at(t) for t in thetas]
-        out[n] = np.array(lengths)
+            mapper = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
+        for n in ns:
+            sweeper.advance_to(n)
+            out[n] = np.array(list(mapper(sweeper.length_at, thetas)))
     return out
 
 

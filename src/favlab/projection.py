@@ -15,6 +15,7 @@ from .errors import (
     PreconditionViolated,
     ResolutionTooCoarse,
 )
+from .favard import merge_intervals
 from .ifs import TWO_PI, TailWord, circ_dist, norm_angle
 from .rotation import find_rotation_word, steering_suffix
 
@@ -184,17 +185,7 @@ def _merge_circular_arcs(starts, widths):
     wrap = e > TWO_PI
     lo = np.concatenate([s, np.zeros(int(wrap.sum()))])
     hi = np.concatenate([np.minimum(e, TWO_PI), e[wrap] - TWO_PI])
-    order = np.argsort(lo, kind="stable")
-    lo, hi = lo[order], hi[order]
-    comps = []
-    cur_lo, cur_hi = lo[0], hi[0]
-    for i in range(1, len(lo)):
-        if lo[i] > cur_hi:
-            comps.append((cur_lo, cur_hi))
-            cur_lo, cur_hi = lo[i], hi[i]
-        else:
-            cur_hi = max(cur_hi, hi[i])
-    comps.append((cur_lo, cur_hi))
+    comps = merge_intervals(lo, hi).intervals
     if len(comps) >= 2 and comps[0][0] <= 0.0 and comps[-1][1] >= TWO_PI:
         # the wrap joins the first and last pieces into one circular component
         first, last = comps[0], comps[-1]

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 
 from .errors import LevelTooLarge
-from .favard import _LevelSweeper, merge_intervals
+from .favard import _LevelSweeper
 
 
 def _fmt(v):
@@ -22,8 +22,8 @@ def render_svg(ifs, depth, theta=None, size=640, cap=200_000):
         raise LevelTooLarge(f"{ifs.m}^{depth} glyphs exceed cap {cap}")
     sweeper = _LevelSweeper(ifs, cap=cap)
     sweeper.advance_to(depth)
-    centers = sweeper._centers
-    radii = sweeper._ratios * ifs.R0
+    xs, ys, ratios = sweeper.disks()
+    radii = ratios * ifs.R0
     cx, cy = ifs.center
     r0 = max(ifs.R0, 1e-9)
     margin = 1.1
@@ -42,15 +42,14 @@ def render_svg(ifs, depth, theta=None, size=640, cap=200_000):
         f'height="{size + bar_h}" viewBox="0 0 {size} {size + bar_h}">',
         f'<rect width="{size}" height="{size + bar_h}" fill="white"/>',
     ]
-    for (x, y), r in zip(centers.tolist(), radii.tolist()):
+    for x, y, r in zip(xs.tolist(), ys.tolist(), radii.tolist()):
         rr = max(r * scale, 0.3)
         lines.append(
             f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="{_fmt(rr)}" '
             'fill="steelblue" fill-opacity="0.6"/>'
         )
     if theta is not None:
-        lo, hi = sweeper.intervals_at(theta)
-        merged = merge_intervals(lo, hi)
+        merged = sweeper.merged_at(theta)
         y0 = size + 10
         for a, b in merged.intervals:
             x0 = (a - (cx * math.cos(theta) + cy * math.sin(theta))) * scale + size / 2.0

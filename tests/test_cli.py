@@ -49,6 +49,13 @@ def test_unknown_flag_exit2():
     assert r.returncode == 2
 
 
+def test_negative_level_exit2():
+    r = run_cli("favard", "--ifs", FIG1, "--n", "-1", "--angles", "4")
+    assert r.returncode == 2
+    assert "--n: must be >= 0" in r.stderr
+    assert r.stdout == ""
+
+
 def test_domain_error_exit1():
     r = run_cli("net", "--theta-over-pi", "1/2", "--eps", "0.01",
                 "--pmax", "10")

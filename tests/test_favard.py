@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import subprocess
@@ -94,6 +95,78 @@ def test_merge_matches_rasterization(batch):
     ivs = merged.intervals
     for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
         assert b1 < a2  # disjoint, non-touching, sorted
+
+
+def _merge_oracle(los, his):
+    """The union as it was computed before the equal-width form existed:
+    stable argsort, gather, running maximum."""
+    los = np.asarray(los, dtype=float)
+    his = np.asarray(his, dtype=float)
+    if len(los) == 0:
+        return los, his
+    order = np.argsort(los, kind="stable")
+    lo, hi = los[order], his[order]
+    cummax = np.maximum.accumulate(hi)
+    new = np.empty(len(lo), dtype=bool)
+    new[0] = True
+    new[1:] = lo[1:] > cummax[:-1]
+    idx = np.flatnonzero(new)
+    starts = lo[idx]
+    ends = np.empty(len(idx))
+    ends[:-1] = cummax[idx[1:] - 1]
+    ends[-1] = cummax[-1]
+    return starts, ends
+
+
+def _assert_same_bits(merged, oracle):
+    starts, ends = oracle
+    assert merged.los.tolist() == starts.tolist()
+    assert merged.his.tolist() == ends.tolist()
+    assert merged.total_length == float((ends - starts).sum())
+
+
+@st.composite
+def equal_width_batches(draw):
+    """Centres on a grid of pitch 2h (exact duplicates, touching and
+    nearly touching neighbours) mixed with arbitrary floats."""
+    half = draw(st.sampled_from([0.0, 0.5, 0.25, 1 / 3, 0.1, 1e-9, 3.0]))
+    grid = st.integers(-12, 12).map(lambda k: k * 2.0 * half)
+    free = st.floats(-10.0, 10.0)
+    centers = draw(st.lists(st.one_of(grid, grid, free), min_size=0, max_size=60))
+    return np.array(centers, dtype=float), half
+
+
+@settings(max_examples=300, deadline=None)
+@given(equal_width_batches())
+def test_equal_width_merge_bit_identical(batch):
+    centers, half = batch
+    oracle = _merge_oracle(centers - half, centers + half)
+    _assert_same_bits(merge_intervals(centers.copy(), half=half), oracle)
+    _assert_same_bits(merge_intervals(centers - half, centers + half), oracle)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(-8, 8).map(float), st.floats(-10.0, 10.0)),
+            st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 3.0)),
+        ),
+        min_size=0,
+        max_size=60,
+    )
+)
+def test_merge_matches_stable_oracle(batch):
+    los = np.array([a for a, _ in batch], dtype=float)
+    his = np.array([a + w for a, w in batch], dtype=float)
+    _assert_same_bits(merge_intervals(los, his), _merge_oracle(los, his))
+
+
+def test_equal_width_sorts_centers_in_place():
+    centers = np.array([3.0, -1.0, 3.0, 0.5])
+    merged = merge_intervals(centers, half=0.25)
+    assert centers.tolist() == [-1.0, 0.5, 3.0, 3.0]
+    assert merged.intervals == [(-1.25, -0.75), (0.25, 0.75), (2.75, 3.25)]
 
 
 def test_merge_touching_coalesce():
@@ -271,6 +344,61 @@ def test_sweep_deterministic_across_workers(ifs):
             os.environ.pop("FAVLAB_THREADS", None)
     for n in (3, 5):  # bit identical across worker counts
         assert runs[0][n].tolist() == runs[1][n].tolist() == runs[2][n].tolist()
+
+
+def _record_merges(monkeypatch):
+    """Route favard's union through a recorder of which form each call
+    used: True for the equal-width form, False for the general one."""
+    favard_mod = importlib.import_module("favlab.favard")
+    forms = []
+    original = favard_mod.merge_intervals
+
+    def recorder(*args, **kwargs):
+        forms.append(kwargs.get("half") is not None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(favard_mod, "merge_intervals", recorder)
+    return forms
+
+
+def test_fig1_sweep_takes_equal_width_path(ifs, monkeypatch):
+    from favlab.favard import _LevelSweeper
+
+    thetas = [(j + 0.5) * math.pi / 16 for j in range(16)]
+    sweeper = _LevelSweeper(ifs)
+    for n in range(0, 8):
+        sweeper.advance_to(n)
+        for theta in thetas:
+            oracle = _merge_oracle(*sweeper.intervals_at(theta))
+            _assert_same_bits(sweeper.merged_at(theta), oracle)
+    forms = _record_merges(monkeypatch)
+    projection_sweep(ifs, [2, 5], thetas, workers=1)
+    assert forms and all(forms)
+
+
+def test_reflected_homogeneous_disk_sweep_takes_equal_width_path(monkeypatch):
+    reflected = IFS.from_maps(
+        [
+            Similitude(r=0.4, theta=1.0, orient=-1, tx=0.0, ty=0.0),
+            Similitude(r=0.4, theta=0.0, orient=1, tx=0.6, ty=0.1),
+        ]
+    )
+    forms = _record_merges(monkeypatch)
+    projection_sweep(reflected, [1, 4], [0.3, 1.9], workers=1)
+    assert forms and all(forms)
+
+
+def test_hull_and_mixed_ratio_sweeps_take_general_path(ifs, monkeypatch):
+    mixed = IFS.from_maps(
+        [
+            Similitude(r=0.5, theta=0.0, orient=1, tx=0.0, ty=0.0),
+            Similitude(r=0.25, theta=0.3, orient=1, tx=0.5, ty=0.0),
+        ]
+    )
+    forms = _record_merges(monkeypatch)
+    projection_sweep(ifs, [1, 4], [0.3, 1.9], body=attractor_hull(ifs), workers=1)
+    projection_sweep(mixed, [1, 4], [0.3, 1.9], workers=1)
+    assert len(forms) == 8 and not any(forms)
 
 
 # ------------------------------------------------------------ schedule

@@ -134,6 +134,85 @@ def test_merge_circular_arcs_matches_sampling(arcs):
         assert s1 + l1 < s2 + 1e-12
 
 
+def _merge_circular_arcs_loop(starts, widths):
+    """The arc union as it was computed before it was vectorized: a
+    per-arc Python sweep over the stably sorted split arcs."""
+    if len(starts) == 0:
+        return [], False
+    if np.any(widths >= 2 * math.pi):
+        return [(0.0, 2 * math.pi)], True
+    s = np.asarray(starts, dtype=float) % (2 * math.pi)
+    e = s + np.asarray(widths, dtype=float)
+    wrap = e > 2 * math.pi
+    lo = np.concatenate([s, np.zeros(int(wrap.sum()))])
+    hi = np.concatenate([np.minimum(e, 2 * math.pi), e[wrap] - 2 * math.pi])
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    comps = []
+    cur_lo, cur_hi = lo[0], hi[0]
+    for i in range(1, len(lo)):
+        if lo[i] > cur_hi:
+            comps.append((cur_lo, cur_hi))
+            cur_lo, cur_hi = lo[i], hi[i]
+        else:
+            cur_hi = max(cur_hi, hi[i])
+    comps.append((cur_lo, cur_hi))
+    if len(comps) >= 2 and comps[0][0] <= 0.0 and comps[-1][1] >= 2 * math.pi:
+        first, last = comps[0], comps[-1]
+        comps = [(last[0] - 2 * math.pi, first[1])] + comps[1:-1]
+    total = sum(hi_ - lo_ for lo_, hi_ in comps)
+    if total >= 2 * math.pi - 1e-15:
+        return [(0.0, 2 * math.pi)], True
+    return [(lo_, hi_ - lo_) for lo_, hi_ in comps], False
+
+
+def _assert_same_arcs(starts, widths):
+    starts = np.asarray(starts, dtype=float)
+    widths = np.asarray(widths, dtype=float)
+    comps, full = _merge_circular_arcs(starts, widths)
+    want, want_full = _merge_circular_arcs_loop(starts, widths)
+    assert full == want_full
+    assert [(float(a), float(b)) for a, b in comps] == [
+        (float(a), float(b)) for a, b in want
+    ]
+
+
+_GRID_ANGLE = st.integers(0, 15).map(lambda k: k * math.pi / 8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(_GRID_ANGLE, st.floats(0.0, 2 * math.pi, exclude_max=True)),
+            st.one_of(_GRID_ANGLE, st.floats(0.0, 7.0)),
+        ),
+        min_size=0,
+        max_size=30,
+    )
+)
+def test_merge_circular_arcs_matches_loop(arcs):
+    _assert_same_arcs([a for a, _ in arcs], [w for _, w in arcs])
+
+
+def test_merge_circular_arcs_matches_loop_cases():
+    q = math.pi / 2
+    cases = [
+        ([3 * q + 0.2], [q]),  # wraps past 2*pi, joins nothing
+        ([3 * q + 0.2, 0.1], [q, 0.3]),  # wrapped head overlaps an arc at 0
+        ([0.0, q, 2 * q], [q, q, q]),  # touching arcs coalesce
+        ([0.0, q, 2 * q, 3 * q], [q, q, q, q]),  # touching arcs close the circle
+        ([1.0, 4.0], [3.5, 3.5]),  # overlapping arcs cover the circle
+        ([0.5], [2 * math.pi]),  # one arc is the whole circle
+        ([0.5, 2.0], [0.1, 0.2]),  # disjoint
+    ]
+    for starts, widths in cases:
+        _assert_same_arcs(starts, widths)
+    assert _merge_circular_arcs(np.array([1.0, 4.0]), np.array([3.5, 3.5]))[1]
+    comps, full = _merge_circular_arcs(np.array([0.0, q, 2 * q]), np.full(3, q))
+    assert not full and len(comps) == 1
+
+
 def test_visibility_monotone(ifs):
     for center in [(3.0, 0.0), (1.0, 0.0), (2 / 3, 1 / 3)]:
         prev = math.inf
