@@ -42,10 +42,29 @@ def _csv_header(args):
 
 def _emit(args, text, path=None):
     if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ConfigError(f"cannot write {path}: {e.strerror or e}")
     else:
         sys.stdout.write(text)
+
+
+def _read_text(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}")
+
+
+def _load_cert(path):
+    try:
+        data = json.loads(_read_text(path))
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path}: {e}")
+    return RelCloseCertificate.from_dict(data)
 
 
 def _load_ifs(args):
@@ -84,18 +103,17 @@ def cmd_favard(args):
 
 def cmd_decay_fit(args):
     samples = {}
-    with open(args.csv, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("n,"):
-                continue
-            parts = line.split(",")
-            try:
-                n = int(parts[0])
-                val = float(parts[-1])
-            except ValueError:
-                continue
-            samples.setdefault(n, []).append(val)
+    for line in _read_text(args.csv).splitlines():
+        line = line.strip()
+        if not line or line.startswith("#") or line.startswith("n,"):
+            continue
+        parts = line.split(",")
+        try:
+            n = int(parts[0])
+            val = float(parts[-1])
+        except ValueError:
+            continue
+        samples.setdefault(n, []).append(val)
     # with several rows per level the last one is the summary row; drop it
     series = [
         (n, sum(v[:-1]) / (len(v) - 1) if len(v) > 1 else v[0])
@@ -150,8 +168,7 @@ def cmd_relclose_find(args):
 
 def cmd_relclose_double(args):
     ifs = _load_ifs(args)
-    with open(args.cert, "r", encoding="utf-8") as fh:
-        cert = RelCloseCertificate.from_dict(json.load(fh))
+    cert = _load_cert(args.cert)
     out = double_family(ifs, cert, args.eps, SearchBudget(max_depth=args.depth))
     return _write_cert(args, out)
 
@@ -166,8 +183,7 @@ def cmd_relclose_power(args):
 def cmd_density(args):
     ifs = _load_ifs(args)
     theta = parse_expr(args.theta).value
-    with open(args.cert, "r", encoding="utf-8") as fh:
-        cert = RelCloseCertificate.from_dict(json.load(fh))
+    cert = _load_cert(args.cert)
     wit = density_witness(ifs, cert, theta)
     rows = [_csv_header(args), "r,ratio\n"]
     if wit.b > 0.0:
@@ -176,8 +192,8 @@ def cmd_density(args):
             ratios = density_profile(ifs, theta, wit.x, radii, args.n)
             for r, q in zip(radii, ratios):
                 rows.append(f"{r!r},{q!r}\n")
-        except FavlabError:
-            pass
+        except FavlabError as e:
+            print(f"WARNING density profile not written: {e}", file=sys.stderr)
     _emit(args, "".join(rows), args.csv)
     print(
         f"x {wit.x} b {wit.b} log10_b {wit.log10_b} ratio {wit.ratio} "
@@ -247,12 +263,21 @@ def cmd_schedule(args):
     return 0
 
 
+def _int_at_least(text, low):
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
+
+
 def level(text):
     """argparse type for a level or depth: an integer >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return _int_at_least(text, 0)
+
+
+def positive(text):
+    """argparse type for a number of angles or points: an integer >= 1."""
+    return _int_at_least(text, 1)
 
 
 def build_parser():
@@ -277,7 +302,7 @@ def build_parser():
     sp = add("favard", cmd_favard)
     sp.add_argument("--ifs", required=True)
     sp.add_argument("--n", type=level, required=True)
-    sp.add_argument("--angles", type=int, required=True)
+    sp.add_argument("--angles", type=positive, required=True)
     sp.add_argument("--hull", action="store_true")
     sp.add_argument("--csv")
     sp.add_argument("--svg")
@@ -303,14 +328,14 @@ def build_parser():
     sp.add_argument("--ifs", required=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--phi")
-    sp.add_argument("--depth", type=int, default=12)
+    sp.add_argument("--depth", type=level, default=12)
     sp.add_argument("--out")
     sp = rsub.add_parser("double")
     sp.set_defaults(func=cmd_relclose_double)
     sp.add_argument("--ifs", required=True)
     sp.add_argument("--cert", required=True)
     sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--depth", type=int, default=12)
+    sp.add_argument("--depth", type=level, default=12)
     sp.add_argument("--out")
     sp = rsub.add_parser("power")
     sp.set_defaults(func=cmd_relclose_power)
@@ -344,7 +369,7 @@ def build_parser():
     sp = add("net", cmd_net)
     sp.add_argument("--theta-over-pi", dest="theta_over_pi", required=True)
     sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--pmax", type=int, default=1_000_000)
+    sp.add_argument("--pmax", type=positive, default=1_000_000)
     sp.add_argument("--d", type=float, default=2.0)
 
     count = sub.add_parser("count")

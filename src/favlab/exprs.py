@@ -96,6 +96,8 @@ def parse_expr(text):
                 mp = mp * mp2
                 ex = None if ex is None or ex2 is None else ex * ex2
             else:
+                if mp2 == 0:
+                    raise ConfigError(f"division by zero in {text!r}")
                 mp = mp / mp2
                 ex = None if ex is None or ex2 is None else ex / ex2
         return mp, ex

@@ -6,7 +6,10 @@ disk and every level-n ratio is exactly equal (homogeneous systems, with or
 without reflections), all intervals share one width and the union sorts the
 projected centres in place, with no argsort, gather or running maximum; hull
 bodies and mixed ratios take the general argsort union.  Both give the same
-bits."""
+bits.  A hull body's intervals come from ``HullBody.support_range``, which
+looks up the few vertices that can be extreme in each direction instead of
+projecting all V vertices of every cylinder; its endpoints are bit-identical
+to the dense N x V form."""
 
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from .errors import (
     PreconditionViolated,
     RhoTooSmall,
 )
-from .ifs import DiskBody, HullBody
+from .ifs import DiskBody
 
 DEFAULT_INTERVAL_CAP = 2**24
 RHO_CAP_LEVEL = 600  # r_min^level floor for the neighborhood sweep
@@ -161,13 +164,9 @@ class _LevelSweeper:
             proj = self._project(theta)
             half = self._ratios * self.body.radius
             return proj - half, proj + half
-        verts = self.body.vertices
-        psi = self._orient * (theta - self._theta)
-        sup = np.cos(psi)[:, None] * verts[:, 0][None, :] + np.sin(psi)[:, None] * verts[
-            :, 1
-        ][None, :]
+        lo, hi = self.body.support_range(self._orient * (theta - self._theta))
         mid = self._t[:, 0] * math.cos(theta) + self._t[:, 1] * math.sin(theta)
-        return mid + self._r * sup.min(axis=1), mid + self._r * sup.max(axis=1)
+        return mid + self._r * lo, mid + self._r * hi
 
     def merged_at(self, theta):
         """Union of the projected level-n intervals at angle theta."""

@@ -177,3 +177,100 @@ def test_decay_fit_pipeline(tmp_path):
     fields = dict(zip(first[::2], first[1::2]))
     assert float(fields["A_hat"]) == pytest.approx(2.0, abs=1e-6)
     assert float(fields["B_hat"]) == pytest.approx(0.5, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "argv, flag, low",
+    [
+        (["favard", "--ifs", FIG1, "--n", "2", "--angles", "0"], "--angles", 1),
+        (["relclose", "find", "--ifs", FIG1, "--eps", "0.3", "--depth", "-1"], "--depth", 0),
+        (["relclose", "double", "--ifs", FIG1, "--cert", "c.json", "--eps", "2",
+          "--depth", "-1"], "--depth", 0),
+        (["net", "--theta-over-pi", "1/2", "--eps", "0.01", "--pmax", "0"], "--pmax", 1),
+    ],
+    ids=["favard-angles", "relclose-find-depth", "relclose-double-depth", "net-pmax"],
+)
+def test_integer_flag_below_range_exit2(argv, flag, low):
+    r = run_cli(*argv)
+    assert r.returncode == 2
+    assert f"{flag}: must be >= {low}" in r.stderr
+    assert r.stdout == ""
+
+
+def _assert_config_error(r, detail):
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    last = r.stderr.splitlines()[-1]
+    assert last.startswith("ERROR config:") and detail in last
+
+
+def test_division_by_zero_exit2():
+    r = run_cli("net", "--theta-over-pi", "1/0", "--eps", "0.01")
+    _assert_config_error(r, "division by zero")
+
+
+@pytest.mark.parametrize(
+    "maps, detail",
+    [
+        ([3], "map 0: expected an object"),
+        ([{"r": "abc", "theta": 0.0, "tx": 0.0, "ty": 0.0}], "r must be a number"),
+        ([{"r": 0.5, "theta": 0.0, "tx": 1e400, "ty": 0.0}], "tx must be finite"),
+    ],
+    ids=["map-not-object", "ratio-not-number", "translation-not-finite"],
+)
+def test_bad_map_values_exit2(tmp_path, maps, detail):
+    cfg = tmp_path / "ifs.json"
+    # json.dumps writes 1e400 as Infinity; write the literal a user would
+    cfg.write_text(json.dumps({"maps": maps}).replace("Infinity", "1e400"))
+    out = tmp_path / "out.csv"
+    r = run_cli("favard", "--ifs", str(cfg), "--n", "2", "--angles", "4",
+                "--csv", str(out))
+    _assert_config_error(r, detail)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["decay", "fit", "--csv", "{tmp}/missing.csv"], "cannot read"),
+        (["density", "--ifs", FIG1, "--theta", "1", "--n", "4",
+          "--cert", "{tmp}/missing.json"], "cannot read"),
+        (["favard", "--ifs", FIG1, "--n", "2", "--angles", "4",
+          "--csv", "{tmp}/no/such/dir/out.csv"], "cannot write"),
+    ],
+    ids=["decay-fit-csv", "density-cert", "favard-csv-out"],
+)
+def test_missing_file_exit2(tmp_path, argv, detail):
+    r = run_cli(*[a.format(tmp=tmp_path) for a in argv])
+    _assert_config_error(r, detail)
+
+
+def test_density_reports_profile_error(tmp_path):
+    cert = tmp_path / "pow.json"
+    r = run_cli("relclose", "power", "--ifs", FIG1, "--u", "2", "--v", "3",
+                "--n", "3", "--out", str(cert))
+    assert r.returncode == 0
+    theta = json.loads(cert.read_text())["theta"]
+    out = tmp_path / "density.csv"
+    # level-1 atoms are far too coarse for the witness radii
+    r = run_cli("density", "--ifs", FIG1, "--theta", str(theta), "--n", "1",
+                "--cert", str(cert), "--csv", str(out))
+    assert r.returncode == 0
+    warnings = [ln for ln in r.stderr.splitlines() if ln.startswith("WARNING")]
+    assert len(warnings) == 1
+    assert "density profile not written: resolution:" in warnings[0]
+    assert out.read_text().splitlines()[1:] == ["r,ratio"]
+
+
+def test_hull_overflow_is_domain_error(tmp_path):
+    # finite but huge translations overflow the hull to NaN vertices
+    cfg = tmp_path / "ifs.json"
+    cfg.write_text(json.dumps({"maps": [
+        {"r": 0.5, "theta": 0.0, "tx": 1e300, "ty": 0.0},
+        {"r": 0.5, "theta": 1.0, "tx": 0.0, "ty": 0.0},
+    ]}))
+    r = run_cli("favard", "--ifs", str(cfg), "--n", "3", "--angles", "4", "--hull")
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert r.stderr.splitlines()[-1].startswith("ERROR precondition:")
+    assert "nan" not in r.stdout

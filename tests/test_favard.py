@@ -1,6 +1,7 @@
 import importlib
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -399,6 +400,60 @@ def test_hull_and_mixed_ratio_sweeps_take_general_path(ifs, monkeypatch):
     projection_sweep(ifs, [1, 4], [0.3, 1.9], body=attractor_hull(ifs), workers=1)
     projection_sweep(mixed, [1, 4], [0.3, 1.9], workers=1)
     assert len(forms) == 8 and not any(forms)
+
+
+def _seeded_reflected_system(seed):
+    """Four maps with ratios in [0.25, 0.45], irrational rotation angles and
+    one reflection, fixed points near the corners of the unit square."""
+    rng = random.Random(seed)
+    maps = []
+    reflect = rng.randrange(4)
+    for i, (cx, cy) in enumerate(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))):
+        r = rng.uniform(0.25, 0.45)
+        theta = 2 * math.pi * (math.sqrt(rng.randrange(2, 10**6) + 0.5) % 1.0)
+        orient = -1 if i == reflect else 1
+        px, py = cx + rng.uniform(-0.1, 0.1), cy + rng.uniform(-0.1, 0.1)
+        c, s = math.cos(theta), math.sin(theta)
+        tx = px - r * (c * px - orient * s * py)
+        ty = py - r * (s * px + orient * c * py)
+        maps.append(Similitude(r=r, theta=theta, orient=orient, tx=tx, ty=ty))
+    return IFS.from_maps(maps)
+
+
+def _dense_hull_intervals(sweeper, theta):
+    """Hull-body intervals as the sweep formed them before the support
+    lookup: the N x V matrix of vertex projections, min and max per row."""
+    verts = sweeper.body.vertices
+    psi = sweeper._orient * (theta - sweeper._theta)
+    sup = np.cos(psi)[:, None] * verts[:, 0][None, :] + np.sin(psi)[:, None] * verts[
+        :, 1
+    ][None, :]
+    mid = sweeper._t[:, 0] * math.cos(theta) + sweeper._t[:, 1] * math.sin(theta)
+    return mid + sweeper._r * sup.min(axis=1), mid + sweeper._r * sup.max(axis=1)
+
+
+@pytest.mark.parametrize("seed", [5, 8])
+def test_hull_sweep_bit_identical_to_dense(seed):
+    from favlab.favard import _LevelSweeper
+
+    ifs = _seeded_reflected_system(seed)
+    assert any(f.orient == -1 for f in ifs.maps)
+    assert len({f.r for f in ifs.maps}) == 4
+    body = attractor_hull(ifs)
+    thetas = [(j + 0.5) * math.pi / 16 for j in range(16)] + [0.0, math.pi / 2]
+    levels = list(range(0, 7))
+    lengths = projection_sweep(ifs, levels, thetas, body=body, workers=2)
+    sweeper = _LevelSweeper(ifs, body=body)
+    for n in levels:
+        sweeper.advance_to(n)
+        for theta, length in zip(thetas, lengths[n]):
+            los, his = sweeper.intervals_at(theta)
+            dense_los, dense_his = _dense_hull_intervals(sweeper, theta)
+            assert los.tobytes() == dense_los.tobytes()
+            assert his.tobytes() == dense_his.tobytes()
+            merged = merge_intervals(dense_los, dense_his)
+            _assert_same_bits(sweeper.merged_at(theta), (merged.los, merged.his))
+            assert length == merged.total_length
 
 
 # ------------------------------------------------------------ schedule

@@ -10,8 +10,10 @@ from favlab.errors import ConfigError, SymbolOutOfRange
 from favlab.ifs import (
     IFS,
     IDENTITY,
+    HullBody,
     Similitude,
     TailWord,
+    _convex_hull,
     compose_geoms,
     geom_power,
     norm_angle,
@@ -244,3 +246,103 @@ def test_from_dict_rejects_bad_configs():
     ]:
         with pytest.raises(ConfigError):
             IFS.from_dict(bad)
+
+
+# ---------------------------------------------------------------- hull support
+
+
+def _dense_products(vertices, psi):
+    """Every vertex projected at every angle, as sweeps formed the support
+    range before the lookup table, which then took the min and max per row."""
+    v = np.asarray(vertices, dtype=float)
+    return np.cos(psi)[:, None] * v[:, 0][None, :] + np.sin(psi)[:, None] * v[:, 1][None, :]
+
+
+def _assert_support_bits(body, vertices, psi):
+    """support_range equals the dense min and max bit for bit.  The one
+    exception is a zero extreme that the row reaches both as +0.0 and as
+    -0.0: numpy's reduction returns either sign, by its lane order."""
+    sup = _dense_products(vertices, psi)
+    zero = sup == 0.0
+    both_signs = (zero & np.signbit(sup)).any(axis=1) & (zero & ~np.signbit(sup)).any(axis=1)
+    for got, want in zip(body.support_range(psi), (sup.min(axis=1), sup.max(axis=1))):
+        assert got.shape == want.shape
+        free = both_signs & (want == 0.0)
+        assert got[~free].tobytes() == want[~free].tobytes()
+        assert np.all(got[free] == 0.0)
+
+
+def _near_normal_angles(points):
+    """Each outward edge normal of the hull, and its opposite, shifted by
+    whole turns across (-50, 50) and by -3..3 ulps."""
+    hull = np.array(_convex_hull([tuple(p) for p in points]), dtype=float)
+    if len(hull) < 2:
+        return np.array([])
+    ex, ey = (np.roll(hull, -1, axis=0) - hull).T
+    normals = np.arctan2(-ex, ey)
+    out = []
+    for base in np.concatenate((normals, normals + math.pi)):
+        for turns in (-7, -1, 0, 1, 7):
+            x = base + 2 * math.pi * turns
+            out.append(x)
+            up = down = x
+            for _ in range(3):
+                up, down = np.nextafter(up, math.inf), np.nextafter(down, -math.inf)
+                out += [up, down]
+    return np.array(out)
+
+
+coords = st.floats(-10.0, 10.0)
+grid_coords = st.integers(-4, 4).map(float)
+
+
+@st.composite
+def collinear_runs(draw):
+    """Points along one segment, pushed off it by tiny perpendicular offsets,
+    optionally closed into a polygon by one far point."""
+    x0, y0 = draw(coords), draw(coords)
+    phi = draw(st.floats(0.0, 2 * math.pi))
+    length = draw(st.sampled_from([1e-3, 1.0, 7.0]))
+    dx, dy = math.cos(phi), math.sin(phi)
+    ts = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12))
+    offs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(-3, 3),
+                st.sampled_from([0.0, 1e-17, 1e-16, 1e-15, 1e-13, 1e-10, 1e-7]),
+            ),
+            min_size=len(ts),
+            max_size=len(ts),
+        )
+    )
+    pts = [
+        (x0 + length * t * dx - k * e * dy, y0 + length * t * dy + k * e * dx)
+        for t, (k, e) in zip(ts, offs)
+    ]
+    if draw(st.booleans()):
+        pts.append((x0 - dy * 3.0, y0 + dx * 3.0))
+    return pts
+
+
+point_sets = st.one_of(
+    st.lists(st.tuples(coords, coords), min_size=1, max_size=30),
+    st.lists(st.tuples(grid_coords, grid_coords), min_size=1, max_size=12),
+    st.lists(st.tuples(coords, coords), min_size=1, max_size=2),  # points, segments
+    collinear_runs(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets, st.booleans(), st.lists(st.floats(-50.0, 50.0), max_size=40))
+def test_support_range_bit_identical_to_dense(points, as_hull, drawn):
+    vertices = _convex_hull(points) if as_hull else points
+    body = HullBody(vertices)
+    quarter_turns = np.arange(-12, 13) * (math.pi / 4)  # exact ties on grid polygons
+    psi = np.concatenate((drawn, quarter_turns, _near_normal_angles(points)))
+    _assert_support_bits(body, vertices, psi)
+
+
+def test_support_range_single_point_and_segment():
+    psi = np.linspace(-50.0, 50.0, 1001)
+    for vertices in ([(0.3, -1.2)], [(0.0, 0.0)], [(-1.0, 2.0), (3.0, 0.5)]):
+        _assert_support_bits(HullBody(vertices), vertices, psi)
