@@ -280,6 +280,14 @@ def positive(text):
     return _int_at_least(text, 1)
 
 
+def finite(text):
+    """argparse type for a coordinate or exponent: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="favlab")
     p.add_argument("--seed", type=int, default=0)
@@ -355,9 +363,9 @@ def build_parser():
 
     sp = add("visible", cmd_visible)
     sp.add_argument("--ifs", required=True)
-    sp.add_argument("--ax", type=float, required=True)
-    sp.add_argument("--ay", type=float, required=True)
-    sp.add_argument("--s", type=float, required=True)
+    sp.add_argument("--ax", type=finite, required=True)
+    sp.add_argument("--ay", type=finite, required=True)
+    sp.add_argument("--s", type=finite, required=True)
     sp.add_argument("--n", type=level, required=True)
     sp.add_argument("--csv")
 

@@ -194,13 +194,13 @@ def neighborhood_projection_length(ifs, rho, theta, body=None, cap=2_000_000):
     if rho < ifs.r_min**RHO_CAP_LEVEL:
         raise RhoTooSmall(f"rho below r_min^{RHO_CAP_LEVEL}")
     body = body or DiskBody(ifs.center, ifs.R0)
-    words = ifs.mass_band(rho, cap=cap)
-    los, his = [], []
-    for w in words:
-        lo, hi = body.interval(ifs.compose(w), theta)
-        los.append(lo - rho)
-        his.append(hi + rho)
-    return merge_intervals(np.array(los), np.array(his)).total_length
+    band = ifs.band(rho, cap=cap)
+    los, his = np.empty(len(band)), np.empty(len(band))
+    for k, g in enumerate(band):
+        lo, hi = body.interval(g, theta)
+        los[k] = lo - rho
+        his[k] = hi + rho
+    return merge_intervals(los, his).total_length
 
 
 @dataclass

@@ -4,6 +4,14 @@ A system is a finite list of contracting similitudes F_i(z) = r_i M_i z + t_i
 where M_i is a rotation (orientation +1) or a reflection (orientation -1).
 Finite words over {1..m} index composed maps; the empty word is the identity.
 All angles live in [0, 2*pi) and comparisons are circular.
+
+Word geometry costs one step per symbol.  ``IFS.compose`` runs over a
+per-symbol table (r, theta, orient, tx, ty, log r) built once per system, with
+exactly the arithmetic of the left fold of ``compose_geoms`` from the
+identity, so its results are bit-identical to that fold.  ``IFS.band`` carries
+each node's geometry down the mass-band descent (child = parent o F_i, the
+same fold), so band words are never recomposed from the root, and
+``IFS.pi_point`` computes an anchor's tail map once per (anchor, tol).
 """
 
 from __future__ import annotations
@@ -11,7 +19,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +30,7 @@ from .errors import ConfigError, LevelTooLarge, PreconditionViolated, SymbolOutO
 TWO_PI = 2.0 * math.pi
 
 Word = tuple  # tuple of 1-based symbols
+TAIL_CACHE = 4096  # anchor tails held per system
 
 
 def norm_angle(t):
@@ -220,6 +230,16 @@ class IFS:
     R0: float
     D: float
 
+    def __post_init__(self):
+        # Not fields: the per-symbol rows of compose, keyed by symbol, and the
+        # bounded cache of anchor tails.
+        rows = {
+            i: (f.r, f.theta, f.orient, f.tx, f.ty, math.log(f.r))
+            for i, f in enumerate(self.maps, start=1)
+        }
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_tails", {})
+
     @classmethod
     def from_maps(cls, maps):
         maps = tuple(maps)
@@ -287,17 +307,31 @@ class IFS:
         return len(self.maps)
 
     def geom(self, symbol):
-        if not (1 <= symbol <= len(self.maps)):
+        try:
+            return CylinderGeometry(*self._rows[symbol])
+        except KeyError:
             raise SymbolOutOfRange(f"symbol {symbol} outside 1..{len(self.maps)}")
-        f = self.maps[symbol - 1]
-        return CylinderGeometry(f.r, f.theta, f.orient, f.tx, f.ty, math.log(f.r))
 
-    def compose(self, u):
-        """Geometry of F_u; the empty word gives the identity."""
-        g = IDENTITY
-        for s in u:
-            g = compose_geoms(g, self.geom(s))
-        return g
+    def compose(self, u, g=IDENTITY):
+        """Geometry of F_g o F_u; the empty word gives g.  One table row per
+        symbol, with the arithmetic of compose_geoms, so the result is
+        bit-identical to the left fold of compose_geoms over u from g."""
+        r, th, o, tx, ty, lr = g.r, g.theta, g.orient, g.tx, g.ty, g.log_r
+        rows, cos, sin, fmod = self._rows, math.cos, math.sin, math.fmod
+        for sym in u:
+            try:
+                hr, hth, ho, hx, hy, hlr = rows[sym]
+            except KeyError:
+                raise SymbolOutOfRange(f"symbol {sym} outside 1..{len(self.maps)}")
+            c, s = cos(th), sin(th)
+            tx, ty = r * (c * hx - o * s * hy) + tx, r * (s * hx + o * c * hy) + ty
+            r *= hr
+            th = fmod(th + o * hth, TWO_PI)
+            if th < 0.0:
+                th += TWO_PI
+            o *= ho
+            lr += hlr
+        return CylinderGeometry(r, th, o, tx, ty, lr)
 
     def mu_mass(self, u):
         """Natural-measure mass of the cylinder [u]: r_u^gamma."""
@@ -306,24 +340,47 @@ class IFS:
 
     def mass_band(self, r, cap=2_000_000):
         """All words s with r*r_min < r_s <= r, in depth-first symbol order."""
+        return self.band(r, cap).words
+
+    def band(self, r, cap=2_000_000):
+        """The mass band of level r with the geometry of each word.
+
+        The depth-first descent carries each node's geometry, the child being
+        parent o F_i with compose's arithmetic, so ``band(r)[k]`` equals
+        ``compose(band(r).words[k])`` bit for bit; the sines and cosines of a
+        node's angle are taken once for all its children."""
         if not (0.0 < r < 1.0):
             raise ConfigError(f"band level {r} outside (0,1)")
         low = r * self.r_min
-        out = []
+        out = Band()
+        rows = tuple(self._rows.items())
+        cos, sin, fmod = math.cos, math.sin, math.fmod
 
-        def descend(word, r_s):
+        def descend(word, g):
             if len(out) > cap:
                 raise LevelTooLarge(f"mass band exceeds cap {cap}")
+            r_s, th, o, tx, ty, lr = g
             if r_s <= r and word:
-                out.append(tuple(word))
-            for i, f in enumerate(self.maps, start=1):
-                child = r_s * f.r
+                out.append(tuple(word), g)
+            c = None
+            for i, (hr, hth, ho, hx, hy, hlr) in rows:
+                child = r_s * hr
                 if child > low:
+                    if c is None:
+                        c, s = cos(th), sin(th)
+                    t = fmod(th + o * hth, TWO_PI)
                     word.append(i)
-                    descend(word, child)
+                    descend(word, (
+                        child,
+                        t + TWO_PI if t < 0.0 else t,
+                        o * ho,
+                        r_s * (c * hx - o * s * hy) + tx,
+                        r_s * (s * hx + o * c * hy) + ty,
+                        lr + hlr,
+                    ))
                     word.pop()
 
-        descend([], 1.0)
+        descend([], (1.0, 0.0, 1, 0.0, 0.0, 0.0))
         return out
 
     def pi_point(self, u, anchor, tol=1e-12):
@@ -333,16 +390,59 @@ class IFS:
         drops below tol; the returned point is within error_radius of the true
         coded point (both lie in the same image of the enclosing disk).
         """
-        g_per = self.compose(anchor.period)
-        if g_per.log_r >= 0.0:
-            raise ConfigError("anchor period does not contract")
-        k = max(1, math.ceil(math.log(tol) / g_per.log_r))
-        g_tail = compose_geoms(self.compose(anchor.prefix), geom_power(g_per, k))
-        q = g_tail.apply(self.center)
+        q, tail_log_r = self._anchor_tail(anchor, tol)
         g_u = self.compose(u)
         p = g_u.apply(q)
-        err = self.D * math.exp(min(g_u.log_r + g_tail.log_r, 0.0))
+        err = self.D * math.exp(min(g_u.log_r + tail_log_r, 0.0))
         return p, err
+
+    def _anchor_tail(self, anchor, tol):
+        """Image of the centre under the anchor's tail map and the tail's log
+        ratio, computed once per (anchor, tol) and held in a bounded cache."""
+        key = (anchor, tol)
+        tail = self._tails.get(key)
+        if tail is None:
+            g_per = self.compose(anchor.period)
+            if g_per.log_r >= 0.0:
+                raise ConfigError("anchor period does not contract")
+            k = max(1, math.ceil(math.log(tol) / g_per.log_r))
+            g_tail = compose_geoms(self.compose(anchor.prefix), geom_power(g_per, k))
+            tail = (g_tail.apply(self.center), g_tail.log_r)
+            if len(self._tails) >= TAIL_CACHE:
+                # oldest first; pop tolerates a concurrent caller's eviction
+                self._tails.pop(next(iter(self._tails)), None)
+            self._tails[key] = tail
+        return tail
+
+
+class Band:
+    """The words of a mass band and their geometries, one compact column per
+    geometry field; ``band[k]`` is the CylinderGeometry of ``band.words[k]``,
+    and iterating a band yields those geometries in word order."""
+
+    def __init__(self):
+        self.words = []
+        self.r, self.theta, self.tx, self.ty, self.log_r = (array("d") for _ in range(5))
+        self.orient = array("b")
+
+    def append(self, word, g):
+        """Add a word and its geometry (r, theta, orient, tx, ty, log_r)."""
+        r, th, o, tx, ty, lr = g
+        self.words.append(word)
+        self.r.append(r)
+        self.theta.append(th)
+        self.orient.append(o)
+        self.tx.append(tx)
+        self.ty.append(ty)
+        self.log_r.append(lr)
+
+    def __len__(self):
+        return len(self.words)
+
+    def __getitem__(self, k):
+        return CylinderGeometry(
+            self.r[k], self.theta[k], self.orient[k], self.tx[k], self.ty[k], self.log_r[k]
+        )
 
 
 def _map_number(i, key, value):
@@ -367,11 +467,6 @@ def _enclosing_disk(maps):
         if f.r < 1.0:
             r0 = max(r0, d / (1.0 - f.r))
     return center, r0
-
-
-def enclosing_disk(ifs):
-    """Invariant disk (center, R0): center at map 1's fixed point."""
-    return ifs.center, ifs.R0
 
 
 # ---------------------------------------------------------------------------

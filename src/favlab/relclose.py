@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     BudgetExhausted,
+    ConfigError,
     Indeterminate,
     NoNetWithinBound,
     NoReflectorAvailable,
@@ -91,22 +92,68 @@ class RelCloseCertificate:
 
     @classmethod
     def from_dict(cls, data):
+        """Read a certificate written by ``to_dict``; its slacks are not read
+        but recomputed by whoever verifies it.  A document that does not
+        follow the schema raises ConfigError."""
         from .ifs import parse_word
 
-        omegas = {
-            tuple(sorted((parse_word(e["pair"][0]), parse_word(e["pair"][1])))): TailWord(
-                parse_word(e["prefix"]), parse_word(e["period"])
+        words = tuple(parse_word(w) for w in _cert_list(data, "words", str))
+        eps = _cert_number(data, "eps")
+        theta = _cert_number(data, "theta")
+        omegas = {}
+        for i, e in enumerate(_cert_list(data, "omegas", dict)):
+            where = f"certificate omegas[{i}]"
+            pair = _cert_field(e, "pair", list, where)
+            if len(pair) != 2 or not all(isinstance(w, str) for w in pair):
+                raise ConfigError(f"{where}: 'pair' must be two word strings")
+            prefix = _cert_field(e, "prefix", str, where)
+            period = _cert_field(e, "period", str, where)
+            key = tuple(sorted((parse_word(pair[0]), parse_word(pair[1]))))
+            omegas[key] = TailWord(parse_word(prefix), parse_word(period))
+        provenance = data.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise ConfigError("certificate: 'provenance' must be an object")
+        cert = cls(words, eps, theta, omegas, slacks={}, provenance=provenance)
+        for u, v in cert.pairs():
+            if tuple(sorted((u, v))) not in omegas:
+                raise ConfigError(
+                    f"certificate: no omega for pair ({word_str(u)}, {word_str(v)})"
+                )
+        return cert
+
+
+def _cert_field(obj, key, kind, where="certificate"):
+    """obj[key], which must exist and be an instance of kind."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ConfigError(f"{where}: missing {key!r}")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{where}: {key!r} has the wrong type ({type(value).__name__})")
+    return value
+
+
+def _cert_list(data, key, kind):
+    """data[key], a list whose entries are instances of kind."""
+    items = _cert_field(data, key, list)
+    for i, item in enumerate(items):
+        if not isinstance(item, kind):
+            raise ConfigError(
+                f"certificate: {key}[{i}] has the wrong type ({type(item).__name__})"
             )
-            for e in data["omegas"]
-        }
-        return cls(
-            words=tuple(parse_word(w) for w in data["words"]),
-            eps=float(data["eps"]),
-            theta=float(data["theta"]),
-            omegas=omegas,
-            slacks={},
-            provenance=data.get("provenance", {}),
-        )
+    return items
+
+
+def _cert_number(data, key):
+    """data[key] as a float, which must be a finite JSON number."""
+    try:
+        x = float(_cert_field(data, key, (int, float)))
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"certificate: {key!r} must be finite")
+    return x
 
 
 def _project(p, theta):
@@ -191,24 +238,19 @@ def find_pair(ifs, eps, phi=None, budget=None):
     r = 1.0
     for _depth in range(1, budget.max_depth + 1):
         r *= ifs.r_min
-        band = ifs.mass_band(r, cap=budget.max_band)
+        band = ifs.band(r, cap=budget.max_band)
         buckets = {}
         collision = None
-        for w in band:
-            g = ifs.compose(w)
-            key = (
-                int(g.theta / width) % n_cells,
-                g.orient,
-                math.floor(g.log_r / width),
-            )
+        for k, (th, o, lr) in enumerate(zip(band.theta, band.orient, band.log_r)):
+            key = (int(th / width) % n_cells, o, math.floor(lr / width))
             if key in buckets:
-                collision = (buckets[key], w)
+                collision = (buckets[key], k)
                 break
-            buckets[key] = w
+            buckets[key] = k
         if collision is None:
             continue
-        u, v = collision
-        gu = ifs.compose(u)
+        iu, iv = collision
+        u, v, gu, gv = band.words[iu], band.words[iv], band[iu], band[iv]
         if gu.orient == -1:
             i0 = next(
                 (i for i, f in enumerate(ifs.maps, start=1) if f.orient == -1), None
@@ -216,14 +258,15 @@ def find_pair(ifs, eps, phi=None, budget=None):
             if i0 is None:
                 raise NoReflectorAvailable("collision has orientation -1")
             u, v = u + (i0,), v + (i0,)
+            gu, gv = ifs.compose((i0,), gu), ifs.compose((i0,), gv)
         theta = _perp_direction(ifs, u, v, omega)
         if phi is not None:
             target = phi(theta)
             ga = ifs.compose(a)
             net = epsilon_net(ga.theta, width, budget.p_max)
             for j in range(net.p + 1):
-                du = circ_dist(ifs.compose(u).theta + j * ga.theta, target)
-                dv = circ_dist(ifs.compose(v).theta + j * ga.theta, target)
+                du = circ_dist(gu.theta + j * ga.theta, target)
+                dv = circ_dist(gv.theta + j * ga.theta, target)
                 if du < eps and dv < eps:
                     u, v = u + a * j, v + a * j
                     break

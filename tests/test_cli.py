@@ -274,3 +274,34 @@ def test_hull_overflow_is_domain_error(tmp_path):
     assert "Traceback" not in r.stderr
     assert r.stderr.splitlines()[-1].startswith("ERROR precondition:")
     assert "nan" not in r.stdout
+
+
+@pytest.mark.parametrize("command", ["density", "double"])
+def test_certificate_without_omegas_exit2(tmp_path, command):
+    cert = tmp_path / "pow.json"
+    r = run_cli("relclose", "power", "--ifs", FIG1, "--u", "2", "--v", "3",
+                "--n", "2", "--out", str(cert))
+    assert r.returncode == 0
+    data = json.loads(cert.read_text())
+    del data["omegas"]
+    cert.write_text(json.dumps(data))
+    if command == "density":
+        argv = ["density", "--ifs", FIG1, "--theta", "1", "--n", "4", "--cert", str(cert)]
+    else:
+        argv = ["relclose", "double", "--ifs", FIG1, "--cert", str(cert), "--eps", "2"]
+    _assert_config_error(run_cli(*argv), "missing 'omegas'")
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--ax", "nan"), ("--ax", "inf"), ("--ay", "-inf"), ("--s", "nan")],
+)
+def test_visible_nonfinite_exit2(tmp_path, flag, value):
+    args = {"--ax": "3", "--ay": "0", "--s": "1", flag: value}
+    out = tmp_path / "vis.csv"
+    r = run_cli("visible", "--ifs", FIG1, *(f"{k}={v}" for k, v in args.items()),
+                "--n", "3", "--csv", str(out))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert f"{flag}: must be finite" in r.stderr
+    assert not out.exists()

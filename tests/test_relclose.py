@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from favlab.errors import PreconditionViolated, VerificationFailed
-from favlab.ifs import IFS, TailWord, norm_angle
+from favlab.errors import ConfigError, PreconditionViolated, VerificationFailed
+from favlab.ifs import IFS, Similitude, TailWord, norm_angle
 from favlab.relclose import (
     RelCloseCertificate,
     SearchBudget,
@@ -131,3 +131,67 @@ def test_power_family_small(ifs):
 def test_power_family_rejects_rotating_word(ifs):
     with pytest.raises(PreconditionViolated):
         power_family(ifs, (1,), (3,), 2)
+
+
+def _power_cert_dict(ifs):
+    return power_family(ifs, (2,), (3,), 2).to_dict()
+
+
+def test_certificate_round_trip(ifs):
+    data = _power_cert_dict(ifs)
+    cert = RelCloseCertificate.from_dict(json.loads(json.dumps(data)))
+    assert cert.to_dict() == dict(data, slacks=[])
+
+
+@pytest.mark.parametrize(
+    "corrupt, detail",
+    [
+        (lambda d: d.pop("omegas"), "missing 'omegas'"),
+        (lambda d: d.pop("words"), "missing 'words'"),
+        (lambda d: d.pop("eps"), "missing 'eps'"),
+        (lambda d: d.pop("theta"), "missing 'theta'"),
+        (lambda d: d.update(words="2222"), "'words' has the wrong type"),
+        (lambda d: d.update(words=[2, 3]), "words[0] has the wrong type"),
+        (lambda d: d.update(eps="1e-6"), "'eps' has the wrong type"),
+        (lambda d: d.update(eps=True), "'eps' has the wrong type"),
+        (lambda d: d.update(theta=None), "'theta' has the wrong type"),
+        (lambda d: d.update(theta=1e400), "'theta' must be finite"),
+        (lambda d: d.update(eps=10**400), "'eps' must be finite"),
+        (lambda d: d.update(omegas={}), "'omegas' has the wrong type"),
+        (lambda d: d["omegas"].append([]), "omegas[6] has the wrong type"),
+        (lambda d: d["omegas"][0].pop("pair"), "omegas[0]: missing 'pair'"),
+        (lambda d: d["omegas"][0].pop("period"), "omegas[0]: missing 'period'"),
+        (lambda d: d["omegas"][0].pop("prefix"), "omegas[0]: missing 'prefix'"),
+        (lambda d: d["omegas"][0].update(pair=["22"]), "two word strings"),
+        (lambda d: d["omegas"][0].update(pair=[22, 23]), "two word strings"),
+        (lambda d: d["omegas"][0].update(period=2), "'period' has the wrong type"),
+        (lambda d: d["omegas"].pop(), "no omega for pair"),
+        (lambda d: d.update(provenance=[]), "'provenance' must be an object"),
+    ],
+)
+def test_certificate_schema(ifs, corrupt, detail):
+    data = _power_cert_dict(ifs)
+    corrupt(data)
+    with pytest.raises(ConfigError) as info:
+        RelCloseCertificate.from_dict(data)
+    assert detail in str(info.value)
+
+
+@pytest.mark.parametrize("data", [None, [], "cert", 3])
+def test_certificate_not_an_object(data):
+    with pytest.raises(ConfigError):
+        RelCloseCertificate.from_dict(data)
+
+
+@pytest.mark.parametrize("target, steps", [(1.0, 7), (4.0, 37)])
+def test_find_pair_steers_from_the_fixed_orientation(target, steps):
+    # the collision (2,), (3,) has orientation -1; appending the reflecting
+    # symbol 2 turns both words by -0.3 to angle 0, and steering by a = (1,)
+    # then counts from 0 (words pinned from the root-recomposing search)
+    ifs = IFS.from_maps([
+        Similitude(0.5, 0.1, 1, 0.0, 0.0),
+        Similitude(0.5, 0.3, -1, 0.5, 0.0),
+        Similitude(0.5, 0.3, -1, 0.0, 0.5),
+    ])
+    cert = find_pair(ifs, 0.3, phi=lambda th: target)
+    assert cert.words == ((2, 2) + (1,) * steps, (3, 2) + (1,) * steps)

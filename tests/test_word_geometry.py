@@ -1,0 +1,329 @@
+"""Word geometry is composed once per word: the table-driven ``IFS.compose``,
+the band geometry carried down the mass-band descent and the cached anchor
+tails of ``pi_point`` must give the bits of the word-by-word path they
+replace.  That path is copied here: a left fold of ``compose_geoms`` over
+per-symbol geometries, mass bands recomposed word by word from the root and
+an uncached ``pi_point``."""
+
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from favlab import projection, relclose
+from favlab.errors import ConfigError, LevelTooLarge, SymbolOutOfRange
+from favlab.ifs import (
+    IDENTITY,
+    IFS,
+    TAIL_CACHE,
+    Band,
+    CylinderGeometry,
+    Similitude,
+    TailWord,
+    compose_geoms,
+    geom_power,
+)
+from favlab.favard import neighborhood_projection_length
+
+
+def fig1():
+    return IFS.from_json("configs/fig1.json")
+
+
+def bits(g):
+    """The exact value of every field, signed zeros told apart."""
+    return tuple(
+        x.hex() if isinstance(x, float) else x
+        for x in (g.r, g.theta, g.orient, g.tx, g.ty, g.log_r)
+    )
+
+
+# ------------------------------------------------------ the word-by-word path
+
+
+def old_geom(ifs, symbol):
+    if not (1 <= symbol <= len(ifs.maps)):
+        raise SymbolOutOfRange(f"symbol {symbol}")
+    f = ifs.maps[symbol - 1]
+    return CylinderGeometry(f.r, f.theta, f.orient, f.tx, f.ty, math.log(f.r))
+
+
+def old_compose(ifs, u, g=IDENTITY):
+    for s in u:
+        g = compose_geoms(g, old_geom(ifs, s))
+    return g
+
+
+def old_mass_band(ifs, r, cap=2_000_000):
+    low = r * ifs.r_min
+    out = []
+
+    def descend(word, r_s):
+        if len(out) > cap:
+            raise LevelTooLarge(f"mass band exceeds cap {cap}")
+        if r_s <= r and word:
+            out.append(tuple(word))
+        for i, f in enumerate(ifs.maps, start=1):
+            child = r_s * f.r
+            if child > low:
+                word.append(i)
+                descend(word, child)
+                word.pop()
+
+    descend([], 1.0)
+    return out
+
+
+def old_band(ifs, r, cap=2_000_000):
+    if not (0.0 < r < 1.0):
+        raise ConfigError(f"band level {r} outside (0,1)")
+    band = Band()
+    for w in old_mass_band(ifs, r, cap):
+        g = old_compose(ifs, w)
+        band.append(w, (g.r, g.theta, g.orient, g.tx, g.ty, g.log_r))
+    return band
+
+
+def old_pi_point(ifs, u, anchor, tol=1e-12):
+    g_per = old_compose(ifs, anchor.period)
+    if g_per.log_r >= 0.0:
+        raise ConfigError("anchor period does not contract")
+    k = max(1, math.ceil(math.log(tol) / g_per.log_r))
+    g_tail = compose_geoms(old_compose(ifs, anchor.prefix), geom_power(g_per, k))
+    q = g_tail.apply(ifs.center)
+    g_u = old_compose(ifs, u)
+    p = g_u.apply(q)
+    err = ifs.D * math.exp(min(g_u.log_r + g_tail.log_r, 0.0))
+    return p, err
+
+
+@pytest.fixture
+def word_by_word(monkeypatch):
+    """Route IFS.compose, IFS.band and IFS.pi_point through the copies above."""
+    monkeypatch.setattr(IFS, "compose", lambda self, u, g=IDENTITY: old_compose(self, u, g))
+    monkeypatch.setattr(IFS, "band", lambda self, r, cap=2_000_000: old_band(self, r, cap))
+    monkeypatch.setattr(IFS, "pi_point", lambda self, u, anchor, tol=1e-12:
+                        old_pi_point(self, u, anchor, tol))
+
+
+def mixed_system(seed, reflect=True):
+    """A seeded system of 3 maps with unequal ratios, one of them reflecting."""
+    rng = random.Random(seed)
+    return IFS.from_maps([
+        Similitude(
+            r=rng.uniform(0.2, 0.45),
+            theta=rng.uniform(0.0, 2 * math.pi),
+            orient=-1 if reflect and i == 1 else 1,
+            tx=rng.uniform(-1.0, 1.0),
+            ty=rng.uniform(-1.0, 1.0),
+        )
+        for i in range(3)
+    ])
+
+
+# ------------------------------------------------------------------ compose
+
+
+similitudes = st.builds(
+    Similitude,
+    r=st.floats(0.05, 0.95),
+    theta=st.floats(-10.0, 10.0),
+    orient=st.sampled_from([1, -1]),
+    tx=st.floats(-3.0, 3.0),
+    ty=st.floats(-3.0, 3.0),
+)
+
+starts = st.builds(
+    CylinderGeometry,
+    r=st.floats(1e-3, 1.0),
+    theta=st.floats(0.0, 2 * math.pi, exclude_max=True),
+    orient=st.sampled_from([1, -1]),
+    tx=st.floats(-3.0, 3.0),
+    ty=st.floats(-3.0, 3.0),
+    log_r=st.floats(-30.0, 0.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(similitudes, min_size=1, max_size=5), st.data())
+def test_compose_is_the_left_fold(maps, data):
+    ifs = IFS.from_maps(maps)
+    u = tuple(data.draw(st.lists(st.integers(1, len(maps)), max_size=60)))
+    assert bits(ifs.compose(u)) == bits(old_compose(ifs, u))
+    g = data.draw(starts)
+    assert bits(ifs.compose(u, g)) == bits(old_compose(ifs, u, g))
+    # composing in two pieces is the same fold
+    k = data.draw(st.integers(0, len(u)))
+    assert bits(ifs.compose(u[k:], ifs.compose(u[:k], g))) == bits(ifs.compose(u, g))
+
+
+def test_compose_signed_zero_angles():
+    # theta -0.0 survives norm_angle; the fold's sine keeps its sign
+    maps = [Similitude(0.5, -0.0, -1, -0.0, 0.25), Similitude(0.3, 0.0, -1, 0.5, -0.0)]
+    ifs = IFS.from_maps(maps)
+    start = CylinderGeometry(0.5, -0.0, 1, -0.0, 0.0, math.log(0.5))
+    for u in [(1,), (2,), (1, 2), (2, 1, 1), (1, 1, 2, 2, 1)]:
+        assert bits(ifs.compose(u)) == bits(old_compose(ifs, u))
+        assert bits(ifs.compose(u, start)) == bits(old_compose(ifs, u, start))
+
+
+def test_compose_long_fig1_words():
+    ifs = fig1()
+    rng = random.Random(4)
+    for n in (1, 100, 5000):
+        u = tuple(rng.randint(1, 3) for _ in range(n))
+        assert bits(ifs.compose(u)) == bits(old_compose(ifs, u))
+
+
+@pytest.mark.parametrize("word", [(0,), (4,), (-1,), (1, 2, 7, 3), (3,) * 10 + (0,)])
+def test_compose_symbol_out_of_range(word):
+    ifs = fig1()
+    with pytest.raises(SymbolOutOfRange):
+        ifs.compose(word)
+    with pytest.raises(SymbolOutOfRange):
+        ifs.compose(word, ifs.compose((1, 2)))
+
+
+def test_geom_is_the_symbol_row():
+    ifs = mixed_system(3)
+    for i in range(1, 4):
+        assert bits(ifs.geom(i)) == bits(old_geom(ifs, i))
+
+
+# ------------------------------------------------------------- band geometry
+
+
+@pytest.mark.parametrize(
+    "ifs, levels",
+    [
+        (fig1(), (0.5, 1 / 3, 1e-2, 1e-3, 3e-4)),
+        (mixed_system(1), (0.3, 1e-2, 1e-3)),
+        (mixed_system(2), (0.1, 2e-3)),
+        (mixed_system(5, reflect=False), (0.05, 1e-3)),
+    ],
+)
+def test_band_geometry_is_compose(ifs, levels):
+    for r in levels:
+        band = ifs.band(r)
+        assert band.words == old_mass_band(ifs, r)
+        assert ifs.mass_band(r) == band.words
+        assert len(band) == len(band.words) > 0
+        for k, w in enumerate(band.words):
+            assert bits(band[k]) == bits(ifs.compose(w)) == bits(old_compose(ifs, w))
+
+
+def test_band_cap_and_level_errors():
+    ifs = fig1()
+    with pytest.raises(LevelTooLarge):
+        ifs.band(1e-3, cap=100)
+    with pytest.raises(LevelTooLarge):
+        ifs.mass_band(1e-3, cap=100)
+    for r in (0.0, 1.0, -0.5):
+        with pytest.raises(ConfigError):
+            ifs.band(r)
+
+
+# --------------------------------------------------------------- anchor tails
+
+
+ANCHORS = [
+    TailWord((), (2,)),
+    TailWord((), (1,)),
+    TailWord((1,), (2, 3)),
+    TailWord((3, 2), (1,) * 5),
+    TailWord((1, 1, 2), (3, 1, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("ifs", [fig1(), mixed_system(1)])
+def test_cached_pi_point_is_uncached(ifs):
+    words = [(), (1,), (2, 3), (3, 1, 2, 1), (1,) * 40]
+    for _ in range(2):  # the second round reads the cache
+        for anchor in ANCHORS:
+            for tol in (1e-6, 1e-12, 1e-15):
+                for u in words:
+                    (x, y), err = ifs.pi_point(u, anchor, tol=tol)
+                    (ox, oy), oerr = old_pi_point(ifs, u, anchor, tol=tol)
+                    assert (x.hex(), y.hex(), err.hex()) == (ox.hex(), oy.hex(), oerr.hex())
+
+
+def test_tail_cache_is_bounded():
+    ifs = fig1()
+    anchor = TailWord((1,), (2, 3))
+    for i in range(TAIL_CACHE + 50):
+        tol = 1e-12 * (1.0 + i * 1e-6)
+        assert ifs.pi_point((1,), anchor, tol) == old_pi_point(ifs, (1,), anchor, tol)
+    assert len(ifs._tails) == TAIL_CACHE
+
+
+def test_bad_anchor_is_not_cached():
+    ifs = fig1()
+    for _ in range(2):
+        with pytest.raises(SymbolOutOfRange):
+            ifs.pi_point((1,), TailWord((), (4,)))
+    assert not ifs._tails
+
+
+# ------------------------------------- whole operations against the old path
+
+
+def _cert_repr(cert):
+    return repr((cert.words, cert.eps, cert.theta, sorted(cert.omegas.items()),
+                 sorted(cert.slacks.items()), cert.provenance))
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        out = fn(*args, **kwargs)
+    except Exception as e:  # an error must be the same error
+        return repr(e)
+    return _cert_repr(out) if isinstance(out, relclose.RelCloseCertificate) else repr(out)
+
+
+def _operations():
+    ifs = fig1()
+    power_4 = relclose.power_family(ifs, (2,), (3,), 4)
+    out = {
+        "power_5": _outcome(relclose.power_family, ifs, (2,), (3,), 5),
+        "grow_8": _outcome(relclose.grow_family, ifs, 1.0, 8),
+        "find_phi": _outcome(relclose.find_pair, ifs, 0.1, phi=lambda th: 0.0),
+        # steered words that never verify run the search into the band cap
+        "find_cap": _outcome(relclose.find_pair, ifs, 0.1, phi=lambda th: th,
+                             budget=relclose.SearchBudget(max_band=2000)),
+    }
+    # collisions of orientation -1 take one reflecting symbol
+    flipped = IFS.from_maps([ifs.maps[0]] + [
+        Similitude(f.r, f.theta, -1, f.tx, f.ty) for f in ifs.maps[1:]
+    ])
+    out["find_flipped"] = _outcome(relclose.find_pair, flipped, 0.2)
+    # ... which turns them, and then steer by a one-symbol rotation word
+    slow = IFS.from_maps([
+        Similitude(0.5, 0.1, 1, 0.0, 0.0),
+        Similitude(0.5, 0.3, -1, 0.5, 0.0),
+        Similitude(0.5, 0.3, -1, 0.0, 0.5),
+    ])
+    for target in (1.0, 4.0):
+        out[f"find_steer_{target}"] = _outcome(relclose.find_pair, slow, 0.3,
+                                               phi=lambda th: target)
+    for turn in (0.01, 0.05, 0.2):
+        theta = (power_4.theta + 2 * math.pi * turn) % (2 * math.pi)
+        out[f"witness_{turn}"] = _outcome(projection.density_witness, ifs, power_4, theta)
+    for rho in (1e-2, 1e-3, 3e-4):
+        out[f"nbhd_{rho}"] = _outcome(neighborhood_projection_length, ifs, rho, 0.7)
+    for seed in (1, 2):
+        ifs_r = mixed_system(seed)
+        out[f"find_{seed}"] = _outcome(relclose.find_pair, ifs_r, 0.3)
+        out[f"find_phi_{seed}"] = _outcome(relclose.find_pair, ifs_r, 0.3, phi=lambda th: 2.0)
+        out[f"nbhd_{seed}"] = _outcome(neighborhood_projection_length, ifs_r, 1e-3, 1.3)
+    return out
+
+
+def test_operations_match_the_word_by_word_path(request):
+    new = _operations()
+    request.getfixturevalue("word_by_word")
+    old = _operations()
+    assert new.keys() == old.keys()
+    for key in new:
+        assert new[key] == old[key], key
