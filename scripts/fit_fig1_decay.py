@@ -3,10 +3,15 @@
 next to the three reference curves."""
 
 import argparse
-import math
 import sys
 
-from favlab.favard import bound_constant, bound_curves, fit_decay, schedule
+from favlab.favard import (
+    bound_constant,
+    bound_curves,
+    decay_samples,
+    fit_decay,
+    schedule,
+)
 from favlab.ifs import IFS
 
 
@@ -19,21 +24,8 @@ def main():
     ap.add_argument("--delta", type=float, default=0.1)
     args = ap.parse_args()
 
-    by_n = {}
-    with open(args.csv) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("n,"):
-                continue
-            parts = line.split(",")
-            by_n.setdefault(int(parts[0]), []).append(float(parts[-1]))
-    # the last row of each level group is the summary row; drop it
-    samples = [
-        (n, sum(v[:-1]) / (len(v) - 1) if len(v) > 1 else v[0])
-        for n, v in sorted(by_n.items())
-        if n >= 3
-    ]
-    fit = fit_decay(samples)
+    with open(args.csv, encoding="utf-8") as fh:
+        fit = fit_decay(decay_samples(fh.read()))
     print(f"A_hat={fit.A_hat:.6f} B_hat={fit.B_hat:.6f} "
           f"residual={fit.residual:.3e}")
 
@@ -41,10 +33,10 @@ def main():
     sched = schedule(ifs, 1, 1.0, args.k, args.d, args.delta)
     print(f"schedule B={sched.B:.6f} "
           f"(reference value log2/(3.3 log3)={bound_constant(1, 2.0, 3, 0.1):.6f})")
-    grid = [n for n, _ in samples]
-    curves = bound_curves(sched, 1.0, 1.0, 1.0, grid, A=fit.A_hat)
+    grid = [n for n, _ in fit.samples]
+    curves = bound_curves(sched.B, sched.m, 1.0, 1.0, 1.0, grid, A=fit.A_hat)
     print("n,observed,mattila,log_star,log_power")
-    for (n, obs), lo, ls, th in zip(samples, curves["mattila"],
+    for (n, obs), lo, ls, th in zip(fit.samples, curves["mattila"],
                                     curves["log_star"], curves["log_power"]):
         print(f"{n},{obs:.6f},{lo:.6f},{ls:.6f},{th:.6f}")
 

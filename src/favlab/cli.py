@@ -15,7 +15,9 @@ from .errors import ConfigError, FavlabError
 from .exprs import parse_expr
 from .ifs import IFS, attractor_hull, parse_word, word_str
 from .favard import (
+    bound_constant,
     bound_curves,
+    decay_samples,
     favard,
     fit_decay,
     schedule as make_schedule,
@@ -102,28 +104,10 @@ def cmd_favard(args):
 
 
 def cmd_decay_fit(args):
-    samples = {}
-    for line in _read_text(args.csv).splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("n,"):
-            continue
-        parts = line.split(",")
-        try:
-            n = int(parts[0])
-            val = float(parts[-1])
-        except ValueError:
-            continue
-        samples.setdefault(n, []).append(val)
-    # with several rows per level the last one is the summary row; drop it
-    series = [
-        (n, sum(v[:-1]) / (len(v) - 1) if len(v) > 1 else v[0])
-        for n, v in sorted(samples.items())
-    ]
-    fit = fit_decay(series)
-    sched = make_schedule_like(args)
+    fit = fit_decay(decay_samples(_read_text(args.csv)))
     curves = bound_curves(
-        sched, args.c_low, args.C_ls, args.a_ls, [n for n, _ in fit.samples],
-        A=fit.A_hat,
+        bound_constant(args.k, args.d, args.m, args.delta), args.m,
+        args.c_low, args.C_ls, args.a_ls, [n for n, _ in fit.samples], A=fit.A_hat,
     )
     print(f"A_hat {fit.A_hat} B_hat {fit.B_hat} residual {fit.residual}")
     print("n,observed,mattila,log_star,log_power")
@@ -132,18 +116,6 @@ def cmd_decay_fit(args):
     ):
         print(f"{n},{obs!r},{lo!r},{ls!r},{th!r}")
     return 0
-
-
-def make_schedule_like(args):
-    # schedule constants for the bound curves without requiring an IFS file
-    from .favard import FavardSchedule, bound_constant
-
-    return FavardSchedule(
-        c1=args.c1, k=args.k, d=args.d, delta=args.delta, n=1, m=args.m,
-        s_n=0.0, log_L_n=0.0, log_neg_log_rho=0.0,
-        B=bound_constant(args.k, args.d, args.m, args.delta),
-        s_lower_bound=0.0, inequality_holds=True,
-    )
 
 
 def _write_cert(args, cert):

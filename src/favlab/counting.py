@@ -62,16 +62,14 @@ def removal_recursion(ifs, target, phi, eps, steps, a_word=None, cap=500_000,
 
 
 def avoidance_count(m, s, blocks):
-    """Exact count and closed-form bound for words of length blocks*s with one
-    forbidden continuation per consecutive s-block."""
+    """Exact count and closed-form bound, as a pair, for words of length
+    blocks*s with one forbidden continuation per consecutive s-block.  The
+    blocks are independent, so the count is the product (m^s - 1)^blocks and
+    the bound is exact: both entries are that one integer."""
     if m < 2 or s < 1 or blocks < 1:
         raise PreconditionViolated("m >= 2, s >= 1, blocks >= 1 required")
-    per_block = m**s - 1
-    exact = 1
-    for _ in range(blocks):  # DP over blocks; independence gives the product
-        exact *= per_block
-    bound = per_block**blocks
-    return exact, bound
+    count = (m**s - 1) ** blocks
+    return count, count
 
 
 def e_bound_holds(m, s):

@@ -1,15 +1,16 @@
 """Level covers, projected interval unions, Favard quadrature, the decay
-schedule and bound curves.  The per-angle sweep is the hot path: cylinder
-data are built once per level as numpy arrays and each angle costs one
+schedule, bound curves and the sweep-CSV reader of the decay fit.  The
+per-angle sweep is the hot path: the level-n cover is one
+``CylinderBatch``, expanded once per level, and each angle costs one
 projection and one sort-and-sweep union.  When the body is the enclosing
 disk and every level-n ratio is exactly equal (homogeneous systems, with or
 without reflections), all intervals share one width and the union sorts the
-projected centres in place, with no argsort, gather or running maximum; hull
-bodies and mixed ratios take the general argsort union.  Both give the same
-bits.  A hull body's intervals come from ``HullBody.support_range``, which
-looks up the few vertices that can be extreme in each direction instead of
-projecting all V vertices of every cylinder; its endpoints are bit-identical
-to the dense N x V form."""
+projected centres in place, with no argsort, gather or running maximum;
+hull bodies and mixed ratios take the general argsort union.  Both give the
+same bits.  A hull body's intervals come from ``HullBody.support_range``,
+which looks up the few vertices that can be extreme in each direction
+instead of projecting all V vertices of every cylinder; its endpoints are
+bit-identical to the dense N x V form."""
 
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .errors import (
     PreconditionViolated,
     RhoTooSmall,
 )
-from .ifs import DiskBody
+from .ifs import CylinderBatch, DiskBody
 
 DEFAULT_INTERVAL_CAP = 2**24
 RHO_CAP_LEVEL = 600  # r_min^level floor for the neighborhood sweep
@@ -78,11 +79,6 @@ def merge_intervals(los, his=None, *, half=None):
     return IntervalSet(starts, ends)
 
 
-def cylinder_interval(geom, theta, body):
-    """Projection interval of the cylinder image of the convex body."""
-    return body.interval(geom, theta)
-
-
 def default_workers():
     env = os.environ.get("FAVLAB_THREADS")
     if env:
@@ -94,7 +90,9 @@ def default_workers():
 
 
 class _LevelSweeper:
-    """Incrementally maintained level-n cylinder data for one system."""
+    """Incrementally maintained level-n cylinder cover for one system.  A disk
+    body's cover is anchored at the disk's centre, a hull body's at the
+    origin, where its images are the cylinders' translations."""
 
     def __init__(self, ifs, body=None, cap=DEFAULT_INTERVAL_CAP):
         self.ifs = ifs
@@ -102,76 +100,39 @@ class _LevelSweeper:
         self.cap = cap
         self.n = 0
         self._disk = isinstance(self.body, DiskBody)
-        if self._disk:
-            cx, cy = self.body.center
-            self._x = np.array([cx], dtype=float)
-            self._y = np.array([cy], dtype=float)
-            self._ratios = np.ones(1)
-            self._half = float(self.body.radius)
-        else:
-            self._r = np.ones(1)
-            self._theta = np.zeros(1)
-            self._orient = np.ones(1)
-            self._t = np.zeros((1, 2))
-            self._half = None  # hull widths depend on orientation and angle
+        self.cover = CylinderBatch.at(self.body.center if self._disk else (0.0, 0.0))
+        self._half = self._common_half()
 
     def advance_to(self, n):
         if self.ifs.m**n > self.cap:
             raise LevelTooLarge(f"{self.ifs.m}^{n} intervals exceed cap {self.cap}")
         while self.n < n:
-            self._step()
+            self.cover = self.cover.children(self.ifs.maps)
             self.n += 1
+            self._half = self._common_half()
 
-    def disks(self):
-        """Centre coordinates and ratios of the level-n cylinder disks (disk
-        body only)."""
-        return self._x, self._y, self._ratios
-
-    def _step(self):
-        ifs = self.ifs
-        if self._disk:
-            centers = np.column_stack((self._x, self._y))
-            pts, rats = [], []
-            for f in ifs.maps:
-                m = f.matrix()
-                pts.append(f.r * centers @ m.T + np.array([f.tx, f.ty]))
-                rats.append(f.r * self._ratios)
-            pts = np.vstack(pts)
-            # contiguous coordinate arrays keep the per-angle projection cheap
-            self._x, self._y = pts[:, 0].copy(), pts[:, 1].copy()
-            self._ratios = np.concatenate(rats)
-            # one exact common width selects the equal-width union
-            equal = np.all(self._ratios == self._ratios[0])
-            self._half = float(self._ratios[0]) * self.body.radius if equal else None
-        else:
-            rs, ths, ors, ts = [], [], [], []
-            for f in ifs.maps:
-                m = f.matrix()
-                rs.append(f.r * self._r)
-                ths.append(f.theta + f.orient * self._theta)
-                ors.append(f.orient * self._orient)
-                ts.append(f.r * self._t @ m.T + np.array([f.tx, f.ty]))
-            self._r = np.concatenate(rs)
-            self._theta = np.concatenate(ths)
-            self._orient = np.concatenate(ors)
-            self._t = np.vstack(ts)
-
-    def _project(self, theta):
-        return self._x * math.cos(theta) + self._y * math.sin(theta)
+    def _common_half(self):
+        """The one exact half-width of every interval, which selects the
+        equal-width union, or None (mixed ratios; hull widths depend on
+        orientation and angle)."""
+        r = self.cover.r
+        if self._disk and np.all(r == r[0]):
+            return float(r[0]) * self.body.radius
+        return None
 
     def intervals_at(self, theta):
+        cover = self.cover
+        mid = cover.project(theta)
         if self._disk:
-            proj = self._project(theta)
-            half = self._ratios * self.body.radius
-            return proj - half, proj + half
-        lo, hi = self.body.support_range(self._orient * (theta - self._theta))
-        mid = self._t[:, 0] * math.cos(theta) + self._t[:, 1] * math.sin(theta)
-        return mid + self._r * lo, mid + self._r * hi
+            half = cover.r * self.body.radius
+            return mid - half, mid + half
+        lo, hi = self.body.support_range(cover.orient * (theta - cover.theta))
+        return mid + cover.r * lo, mid + cover.r * hi
 
     def merged_at(self, theta):
         """Union of the projected level-n intervals at angle theta."""
         if self._half is not None:
-            return merge_intervals(self._project(theta), half=self._half)
+            return merge_intervals(self.cover.project(theta), half=self._half)
         return merge_intervals(*self.intervals_at(theta))
 
     def length_at(self, theta):
@@ -308,18 +269,41 @@ def schedule(ifs, n, c1, k, d, delta):
     )
 
 
-def bound_curves(sched, c_low, C_ls, a_ls, grid, A=1.0):
-    """Three reference curves over a grid of levels n: the 1/n lower bound,
-    the iterated-log upper bound at rho = m^-n, and A/(log n)^B."""
+def bound_curves(B, m, c_low, C_ls, a_ls, grid, A=1.0):
+    """Three reference curves over a grid of levels n for a system of m maps:
+    the 1/n lower bound, the iterated-log upper bound at rho = m^-n, and
+    A/(log n)^B."""
     grid = list(grid)
-    log_m = math.log(sched.m)
+    log_m = math.log(m)
     lower = [c_low / n for n in grid]
     # log_*(m^n) = 1 + log_*(n log m) for n >= 1 without forming m^n
     ls = [C_ls * math.exp(-a_ls * (1 + log_star(n * log_m))) for n in grid]
     log_power = [
-        A / math.log(n) ** sched.B if n > 1 else math.inf for n in grid
+        A / math.log(n) ** B if n > 1 else math.inf for n in grid
     ]
     return {"mattila": lower, "log_star": ls, "log_power": log_power}
+
+
+def decay_samples(text):
+    """Per-level mean lengths (n, mean) from the text of a sweep CSV, in
+    ascending n.  Blank lines, '#' comments, the 'n,' header and rows whose
+    level or last field does not parse are skipped; with several rows per
+    level the last one is the summary row and is dropped."""
+    by_n = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#") or line.startswith("n,"):
+            continue
+        parts = line.split(",")
+        try:
+            n, val = int(parts[0]), float(parts[-1])
+        except ValueError:
+            continue
+        by_n.setdefault(n, []).append(val)
+    return [
+        (n, sum(v[:-1]) / (len(v) - 1) if len(v) > 1 else v[0])
+        for n, v in sorted(by_n.items())
+    ]
 
 
 @dataclass

@@ -12,6 +12,8 @@ identity, so its results are bit-identical to that fold.  ``IFS.band`` carries
 each node's geometry down the mass-band descent (child = parent o F_i, the
 same fold), so band words are never recomposed from the root, and
 ``IFS.pi_point`` computes an anchor's tail map once per (anchor, tol).
+Level-n covers are a ``CylinderBatch``, the one code path that applies the
+maps to arrays of points.
 """
 
 from __future__ import annotations
@@ -60,44 +62,6 @@ def word_str(u):
 
 
 @dataclass(frozen=True)
-class Similitude:
-    """One contracting planar map: ratio, angle, orientation flag, translation."""
-
-    r: float
-    theta: float
-    orient: int  # +1 rotation, -1 contains a reflection
-    tx: float
-    ty: float
-
-    def __post_init__(self):
-        if not (0.0 < self.r < 1.0):
-            raise ConfigError(f"ratio {self.r} outside (0,1)")
-        if self.orient not in (1, -1):
-            raise ConfigError(f"orientation {self.orient} not in {{+1,-1}}")
-        object.__setattr__(self, "theta", norm_angle(self.theta))
-
-    def matrix(self):
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        o = self.orient
-        return np.array([[c, -o * s], [s, o * c]])
-
-    def apply(self, p):
-        x, y = p
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        o = self.orient
-        return (
-            self.r * (c * x - o * s * y) + self.tx,
-            self.r * (s * x + o * c * y) + self.ty,
-        )
-
-    def fixed_point(self):
-        """Solve z = F(z); the 2x2 system (I - r M) z = t."""
-        a = np.eye(2) - self.r * self.matrix()
-        x, y = np.linalg.solve(a, np.array([self.tx, self.ty]))
-        return (float(x), float(y))
-
-
-@dataclass(frozen=True)
 class CylinderGeometry:
     """Parameters of a composed map F_u: ratio product, net angle, orientation,
     translation.  log_r duplicates log(r) so that very long words stay usable
@@ -105,7 +69,7 @@ class CylinderGeometry:
 
     r: float
     theta: float
-    orient: int
+    orient: int  # +1 rotation, -1 contains a reflection
     tx: float
     ty: float
     log_r: float = 0.0
@@ -123,6 +87,27 @@ class CylinderGeometry:
         c, s = math.cos(self.theta), math.sin(self.theta)
         o = self.orient
         return np.array([[c, -o * s], [s, o * c]])
+
+
+@dataclass(frozen=True)
+class Similitude(CylinderGeometry):
+    """One contracting planar map, the geometry of a one-symbol word: the
+    ratio must lie in (0, 1), the angle is reduced into [0, 2*pi) and log_r is
+    set to log r."""
+
+    def __post_init__(self):
+        if not (0.0 < self.r < 1.0):
+            raise ConfigError(f"ratio {self.r} outside (0,1)")
+        if self.orient not in (1, -1):
+            raise ConfigError(f"orientation {self.orient} not in {{+1,-1}}")
+        object.__setattr__(self, "theta", norm_angle(self.theta))
+        object.__setattr__(self, "log_r", math.log(self.r))
+
+    def fixed_point(self):
+        """Solve z = F(z); the 2x2 system (I - r M) z = t."""
+        a = np.eye(2) - self.r * self.matrix()
+        x, y = np.linalg.solve(a, np.array([self.tx, self.ty]))
+        return (float(x), float(y))
 
 
 IDENTITY = CylinderGeometry(1.0, 0.0, 1, 0.0, 0.0, 0.0)
@@ -234,7 +219,7 @@ class IFS:
         # Not fields: the per-symbol rows of compose, keyed by symbol, and the
         # bounded cache of anchor tails.
         rows = {
-            i: (f.r, f.theta, f.orient, f.tx, f.ty, math.log(f.r))
+            i: (f.r, f.theta, f.orient, f.tx, f.ty, f.log_r)
             for i, f in enumerate(self.maps, start=1)
         }
         object.__setattr__(self, "_rows", rows)
@@ -469,6 +454,47 @@ def _enclosing_disk(maps):
     return center, r0
 
 
+class CylinderBatch:
+    """The cylinders F_u of a set of words, one array entry per word: x, y
+    are the images F_u(p) of an anchor point p, r the ratio, theta the angle
+    (not reduced mod 2*pi) and orient the orientation, as int8.
+
+    ``CylinderBatch.at(points)`` is the empty word at each anchor point, and
+    ``children(maps)`` goes one level deeper; it is the only code that
+    applies the maps to arrays of points."""
+
+    def __init__(self, x, y, r, theta, orient):
+        self.x, self.y, self.r, self.theta, self.orient = x, y, r, theta, orient
+
+    @classmethod
+    def at(cls, points):
+        """The empty word anchored at one point (x, y) or at each row of an
+        array of points."""
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        k = len(pts)
+        return cls(
+            pts[:, 0].copy(), pts[:, 1].copy(), np.ones(k), np.zeros(k), np.ones(k, np.int8)
+        )
+
+    def children(self, maps):
+        """The words i.u for each map F_i and each word u of the batch, in
+        that order: entry i*N + j is F_i o F_{u_j}."""
+        pts = np.column_stack((self.x, self.y))
+        images = np.vstack([f.r * pts @ f.matrix().T + np.array([f.tx, f.ty]) for f in maps])
+        # contiguous coordinate arrays keep the per-angle projection cheap
+        return CylinderBatch(
+            images[:, 0].copy(),
+            images[:, 1].copy(),
+            np.concatenate([f.r * self.r for f in maps]),
+            np.concatenate([f.theta + f.orient * self.theta for f in maps]),
+            np.concatenate([f.orient * self.orient for f in maps]),
+        )
+
+    def project(self, theta):
+        """Projections of the anchor images onto the unit vector at theta."""
+        return self.x * math.cos(theta) + self.y * math.sin(theta)
+
+
 # ---------------------------------------------------------------------------
 # Convex bodies used for projection intervals.
 
@@ -647,16 +673,12 @@ def attractor_hull(ifs, depth=6, tol=1e-9):
     from .errors import HullNotInvariant
 
     fixes = [f.fixed_point() for f in ifs.maps]
-    pts = np.array(fixes, dtype=float)
+    sample = CylinderBatch.at(fixes)
     for _ in range(depth):
-        layers = []
-        for f in ifs.maps:
-            m = f.matrix()
-            layers.append(f.r * pts @ m.T + np.array([f.tx, f.ty]))
-        pts = np.vstack(layers)
-        if len(pts) > 200_000:
+        sample = sample.children(ifs.maps)
+        if len(sample.x) > 200_000:
             break
-    hull = _convex_hull([tuple(p) for p in pts] + fixes)
+    hull = _convex_hull(list(zip(sample.x.tolist(), sample.y.tolist())) + fixes)
     cx = sum(p[0] for p in hull) / len(hull)
     cy = sum(p[1] for p in hull) / len(hull)
     lam = 0.0

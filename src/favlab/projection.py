@@ -16,7 +16,7 @@ from .errors import (
     ResolutionTooCoarse,
 )
 from .favard import merge_intervals
-from .ifs import TWO_PI, TailWord, circ_dist, norm_angle
+from .ifs import TWO_PI, CylinderBatch, TailWord, circ_dist, norm_angle
 from .rotation import find_rotation_word, steering_suffix
 
 DEFAULT_LEVEL_CAP = 2**21
@@ -39,23 +39,6 @@ class AtomicMeasure:
         return float(self.weights.sum())
 
 
-def _level_arrays(ifs, n):
-    """Centers (images of map 1's fixed point under F_u) and ratios for all
-    words of length n, in lexicographic word order."""
-    anchor = np.array(ifs.maps[0].fixed_point(), dtype=float)
-    pts = anchor.reshape(1, 2)
-    ratios = np.ones(1)
-    for _ in range(n):
-        layer_pts, layer_r = [], []
-        for f in ifs.maps:
-            m = f.matrix()
-            layer_pts.append(f.r * pts @ m.T + np.array([f.tx, f.ty]))
-            layer_r.append(f.r * ratios)
-        pts = np.vstack(layer_pts)
-        ratios = np.concatenate(layer_r)
-    return pts, ratios
-
-
 def level_measure(ifs, theta, n, cap=DEFAULT_LEVEL_CAP):
     """One atom per length-n word at the projected coded point of u.1-bar,
     weighted by the natural measure r_u^gamma."""
@@ -63,14 +46,14 @@ def level_measure(ifs, theta, n, cap=DEFAULT_LEVEL_CAP):
         raise PreconditionViolated("n >= 0 required")
     if ifs.m**n > cap:
         raise LevelTooLarge(f"{ifs.m}^{n} atoms exceed cap {cap}")
-    pts, ratios = _level_arrays(ifs, n)
-    pos = pts[:, 0] * math.cos(theta) + pts[:, 1] * math.sin(theta)
-    weights = ratios**ifs.gamma
+    cover = CylinderBatch.at(ifs.maps[0].fixed_point())
+    for _ in range(n):
+        cover = cover.children(ifs.maps)
     return AtomicMeasure(
-        positions=pos,
-        weights=weights,
+        positions=cover.project(theta),
+        weights=cover.r**ifs.gamma,
         scale=n,
-        position_error=ifs.D * ratios,
+        position_error=ifs.D * cover.r,
     )
 
 
@@ -214,19 +197,12 @@ def visibility_estimate(ifs, a, s, n, cap=DEFAULT_LEVEL_CAP):
         raise PreconditionViolated("s in (0, 2] required")
     if ifs.m**n > cap:
         raise LevelTooLarge(f"{ifs.m}^{n} cylinders exceed cap {cap}")
-    centers = np.array(ifs.center, dtype=float).reshape(1, 2)
-    ratios = np.ones(1)
+    cover = CylinderBatch.at(ifs.center)
     for _ in range(n):
-        layer_pts, layer_r = [], []
-        for f in ifs.maps:
-            m = f.matrix()
-            layer_pts.append(f.r * centers @ m.T + np.array([f.tx, f.ty]))
-            layer_r.append(f.r * ratios)
-        centers = np.vstack(layer_pts)
-        ratios = np.concatenate(layer_r)
-    radii = ratios * ifs.R0
-    dx = centers[:, 0] - a[0]
-    dy = centers[:, 1] - a[1]
+        cover = cover.children(ifs.maps)
+    radii = cover.r * ifs.R0
+    dx = cover.x - a[0]
+    dy = cover.y - a[1]
     dist = np.hypot(dx, dy)
     engulfing = dist <= radii + 1e-15
     n_engulf = int(engulfing.sum())

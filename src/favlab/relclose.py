@@ -27,6 +27,7 @@ from .errors import (
     VerificationFailed,
 )
 from .ifs import TWO_PI, TailWord, circ_dist, norm_angle, word_str
+from .projection import project
 from .rotation import epsilon_net, find_rotation_word
 
 COINCIDENCE_TOL = 1e-9  # exact-coincidence surrogate, relative to D*min(r)
@@ -156,10 +157,6 @@ def _cert_number(data, key):
     return x
 
 
-def _project(p, theta):
-    return p[0] * math.cos(theta) + p[1] * math.sin(theta)
-
-
 def check_relclose(ifs, u, v, eps, theta, omega):
     """Independent verifier for one pair; slacks are margins to violation
     (all positive means pass).  Raises Indeterminate when coded-point error
@@ -182,7 +179,7 @@ def check_relclose(ifs, u, v, eps, theta, omega):
             pu, eu = ifs.pi_point(u, omega, tol=tol)
             pv, ev = ifs.pi_point(v, omega, tol=tol)
             if eu + ev <= 0.01 * thresh:
-                offset = abs(_project(pu, theta) - _project(pv, theta))
+                offset = abs(project(pu, theta) - project(pv, theta))
                 slack_iii = thresh - offset
                 break
         else:

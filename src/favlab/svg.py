@@ -22,8 +22,8 @@ def render_svg(ifs, depth, theta=None, size=640, cap=200_000):
         raise LevelTooLarge(f"{ifs.m}^{depth} glyphs exceed cap {cap}")
     sweeper = _LevelSweeper(ifs, cap=cap)
     sweeper.advance_to(depth)
-    xs, ys, ratios = sweeper.disks()
-    radii = ratios * ifs.R0
+    cover = sweeper.cover
+    radii = cover.r * ifs.R0
     cx, cy = ifs.center
     r0 = max(ifs.R0, 1e-9)
     margin = 1.1
@@ -42,7 +42,7 @@ def render_svg(ifs, depth, theta=None, size=640, cap=200_000):
         f'height="{size + bar_h}" viewBox="0 0 {size} {size + bar_h}">',
         f'<rect width="{size}" height="{size + bar_h}" fill="white"/>',
     ]
-    for x, y, r in zip(xs.tolist(), ys.tolist(), radii.tolist()):
+    for x, y, r in zip(cover.x.tolist(), cover.y.tolist(), radii.tolist()):
         rr = max(r * scale, 0.3)
         lines.append(
             f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="{_fmt(rr)}" '

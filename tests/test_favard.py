@@ -16,7 +16,6 @@ from favlab.favard import (
     FavardSchedule,
     bound_constant,
     bound_curves,
-    cylinder_interval,
     favard,
     fit_decay,
     level_projection_length,
@@ -183,7 +182,7 @@ def test_cylinder_interval_identity(ifs):
     from favlab.ifs import IDENTITY
 
     body = DiskBody(ifs.center, ifs.R0)
-    lo, hi = cylinder_interval(IDENTITY, 0.0, body)
+    lo, hi = body.interval(IDENTITY, 0.0)
     assert lo == pytest.approx(-1.0)
     assert hi == pytest.approx(1.0)
 
@@ -191,7 +190,7 @@ def test_cylinder_interval_identity(ifs):
 def test_cylinder_interval_width_theta_free(ifs):
     body = DiskBody(ifs.center, ifs.R0)
     g = ifs.compose((1, 2))
-    widths = [np.subtract(*reversed(cylinder_interval(g, t, body)))
+    widths = [np.subtract(*reversed(body.interval(g, t)))
               for t in np.linspace(0, math.pi, 17)]
     assert np.allclose(widths, 2 * g.r * ifs.R0, atol=1e-12)
 
@@ -201,7 +200,7 @@ def test_cylinder_interval_boundary_oracle(ifs):
     body = DiskBody(ifs.center, ifs.R0)
     g = ifs.compose((1, 3, 2))
     for theta in (0.0, 0.7, 2.5):
-        lo, hi = cylinder_interval(g, theta, body)
+        lo, hi = body.interval(g, theta)
         ts = np.linspace(0, 2 * math.pi, 1024, endpoint=False)
         bx = ifs.center[0] + ifs.R0 * np.cos(ts)
         by = ifs.center[1] + ifs.R0 * np.sin(ts)
@@ -424,12 +423,13 @@ def _dense_hull_intervals(sweeper, theta):
     """Hull-body intervals as the sweep formed them before the support
     lookup: the N x V matrix of vertex projections, min and max per row."""
     verts = sweeper.body.vertices
-    psi = sweeper._orient * (theta - sweeper._theta)
+    cover = sweeper.cover
+    psi = cover.orient * (theta - cover.theta)
     sup = np.cos(psi)[:, None] * verts[:, 0][None, :] + np.sin(psi)[:, None] * verts[
         :, 1
     ][None, :]
-    mid = sweeper._t[:, 0] * math.cos(theta) + sweeper._t[:, 1] * math.sin(theta)
-    return mid + sweeper._r * sup.min(axis=1), mid + sweeper._r * sup.max(axis=1)
+    mid = cover.x * math.cos(theta) + cover.y * math.sin(theta)
+    return mid + cover.r * sup.min(axis=1), mid + cover.r * sup.max(axis=1)
 
 
 @pytest.mark.parametrize("seed", [5, 8])
@@ -497,7 +497,7 @@ def test_schedule_rejects_inhomogeneous():
 def test_bound_curves_shapes(ifs):
     sched = schedule(ifs, 1, 1.0, 1, 2.0, 0.1)
     grid = list(range(2, 13))
-    curves = bound_curves(sched, 0.5, 1.0, 1.0, grid, A=2.0)
+    curves = bound_curves(sched.B, sched.m, 0.5, 1.0, 1.0, grid, A=2.0)
     ls = curves["log_star"]
     assert all(a >= b - 1e-15 for a, b in zip(ls, ls[1:]))  # nonincreasing
     thm = curves["log_power"]
