@@ -1,6 +1,8 @@
 """Command line interface: config ingestion, subcommand dispatch, CSV/SVG
 emission.  Exit codes: 0 success, 2 usage/config error, 1 domain error with a
-one-line ``ERROR <code>: <detail>`` message."""
+one-line ``ERROR <code>: <detail>`` message.  Every numeric flag passes an
+argparse type that checks it is finite and inside its domain; a result beyond
+the float range is a domain error, ``ERROR overflow``."""
 
 from __future__ import annotations
 
@@ -11,9 +13,9 @@ import math
 import sys
 
 from . import __version__
-from .errors import ConfigError, FavlabError
+from .errors import ConfigError, FavlabError, NumericOverflow
 from .exprs import parse_expr
-from .ifs import IFS, attractor_hull, parse_word, word_str
+from .ifs import IFS, attractor_hull, parse_word
 from .favard import (
     bound_constant,
     bound_curves,
@@ -29,17 +31,19 @@ from .counting import avoidance_count, h2_length_bound, removal_recursion
 from .svg import render_svg
 
 
-def _config_hash(args):
-    blob = json.dumps(
+def _config(args):
+    """The resolved flags as sorted JSON, echoed to stderr and hashed into
+    CSV headers."""
+    return json.dumps(
         {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         default=str,
         sort_keys=True,
     )
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 def _csv_header(args):
-    return f"# favlab {__version__} config={_config_hash(args)} seed={args.seed}\n"
+    digest = hashlib.sha256(_config(args).encode()).hexdigest()[:12]
+    return f"# favlab {__version__} config={digest} seed={args.seed}\n"
 
 
 def _emit(args, text, path=None):
@@ -69,18 +73,14 @@ def _load_cert(path):
     return RelCloseCertificate.from_dict(data)
 
 
-def _load_ifs(args):
-    return IFS.from_json(args.ifs)
-
-
 def cmd_dim(args):
-    ifs = _load_ifs(args)
+    ifs = IFS.from_json(args.ifs)
     print(f"gamma {ifs.gamma}")
     return 0
 
 
 def cmd_render(args):
-    ifs = _load_ifs(args)
+    ifs = IFS.from_json(args.ifs)
     theta = parse_expr(args.theta).value if args.theta else None
     doc = render_svg(ifs, args.depth, theta=theta)
     _emit(args, doc, args.svg)
@@ -88,7 +88,7 @@ def cmd_render(args):
 
 
 def cmd_favard(args):
-    ifs = _load_ifs(args)
+    ifs = IFS.from_json(args.ifs)
     body = attractor_hull(ifs) if args.hull else None
     res = favard(ifs, args.n, args.angles, body=body)
     rows = [_csv_header(args), "n,theta,length\n"]
@@ -120,16 +120,14 @@ def cmd_decay_fit(args):
 
 def _write_cert(args, cert):
     payload = json.dumps(cert.to_dict(), indent=2, sort_keys=True) + "\n"
-    _emit(args, payload, getattr(args, "out", None))
-    if getattr(args, "out", None):
-        print(
-            f"certificate {len(cert.words)} words eps {cert.eps} theta {cert.theta}"
-        )
+    _emit(args, payload, args.out)
+    if args.out:
+        print(f"certificate {len(cert.words)} words eps {cert.eps} theta {cert.theta}")
     return 0
 
 
 def cmd_relclose_find(args):
-    ifs = _load_ifs(args)
+    ifs = IFS.from_json(args.ifs)
     phi = None
     if args.phi is not None:
         phi_val = parse_expr(args.phi).value
@@ -139,21 +137,20 @@ def cmd_relclose_find(args):
 
 
 def cmd_relclose_double(args):
-    ifs = _load_ifs(args)
+    ifs = IFS.from_json(args.ifs)
     cert = _load_cert(args.cert)
     out = double_family(ifs, cert, args.eps, SearchBudget(max_depth=args.depth))
     return _write_cert(args, out)
 
 
 def cmd_relclose_power(args):
-    ifs = _load_ifs(args)
-    cert = power_family(ifs, parse_word(args.u), parse_word(args.v), args.n,
-                        eps=args.eps)
+    ifs = IFS.from_json(args.ifs)
+    cert = power_family(ifs, parse_word(args.u), parse_word(args.v), args.n, eps=args.eps)
     return _write_cert(args, cert)
 
 
 def cmd_density(args):
-    ifs = _load_ifs(args)
+    ifs = IFS.from_json(args.ifs)
     theta = parse_expr(args.theta).value
     cert = _load_cert(args.cert)
     wit = density_witness(ifs, cert, theta)
@@ -175,7 +172,7 @@ def cmd_density(args):
 
 
 def cmd_visible(args):
-    ifs = _load_ifs(args)
+    ifs = IFS.from_json(args.ifs)
     rows = [_csv_header(args), "n,covering_sum\n"]
     for n in range(1, args.n + 1):
         est = visibility_estimate(ifs, (args.ax, args.ay), args.s, n)
@@ -196,14 +193,16 @@ def cmd_dioph(args):
 
 def cmd_net(args):
     theta1 = parse_expr(args.theta_over_pi).value * math.pi
+    if not math.isfinite(theta1):
+        raise ConfigError("theta-over-pi * pi overflows")
     net = epsilon_net(theta1, args.eps, args.pmax, d=args.d)
     print(f"p {net.p} max_gap {net.max_gap} c1_hat {net.c1_hat}")
     return 0
 
 
 def cmd_count_avoid(args):
-    exact, bound = avoidance_count(args.m, args.s, args.blocks)
     h2 = h2_length_bound(args.m, args.s, args.blocks, 1.0 / args.m)
+    exact, bound = avoidance_count(args.m, args.s, args.blocks)
     print(f"exact {exact} bound {bound}")
     print(
         f"h2 {h2['value']} e_bound {h2['e_bound']} "
@@ -213,10 +212,9 @@ def cmd_count_avoid(args):
 
 
 def cmd_count_removal(args):
-    ifs = _load_ifs(args)
+    ifs = IFS.from_json(args.ifs)
     phi = parse_expr(args.phi).value
-    trace = removal_recursion(ifs, parse_word(args.target), phi, args.eps,
-                              args.steps)
+    trace = removal_recursion(ifs, parse_word(args.target), phi, args.eps, args.steps)
     print(f"c {trace.c} n0 {trace.n0} survivors {trace.survivors}")
     print("step,mass")
     for i, mass in enumerate(trace.masses):
@@ -225,7 +223,7 @@ def cmd_count_removal(args):
 
 
 def cmd_schedule(args):
-    ifs = _load_ifs(args)
+    ifs = IFS.from_json(args.ifs)
     sched = make_schedule(ifs, args.n, args.c1, args.k, args.d, args.delta)
     print(
         f"s_n {sched.s_n} log_L_n {sched.log_L_n} "
@@ -252,6 +250,12 @@ def positive(text):
     return _int_at_least(text, 1)
 
 
+def at_least_two(text):
+    """argparse type for a number of maps or a denominator bound: an
+    integer >= 2."""
+    return _int_at_least(text, 2)
+
+
 def finite(text):
     """argparse type for a coordinate or exponent: a finite float."""
     value = float(text)
@@ -260,15 +264,27 @@ def finite(text):
     return value
 
 
+def positive_real(text):
+    """argparse type for a tolerance or a schedule constant: a finite float
+    > 0."""
+    value = finite(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="favlab")
     p.add_argument("--seed", type=int, default=0)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        sp = sub.add_parser(name, **kw)
+    def add(name, fn, group=sub):
+        sp = group.add_parser(name)
         sp.set_defaults(func=fn)
         return sp
+
+    def commands(name):
+        return sub.add_parser(name).add_subparsers(dest="subcommand", required=True)
 
     sp = add("dim", cmd_dim)
     sp.add_argument("--ifs", required=True)
@@ -287,43 +303,35 @@ def build_parser():
     sp.add_argument("--csv")
     sp.add_argument("--svg")
 
-    decay = sub.add_parser("decay")
-    dsub = decay.add_subparsers(dest="subcommand", required=True)
-    sp = dsub.add_parser("fit")
-    sp.set_defaults(func=cmd_decay_fit)
+    sp = add("fit", cmd_decay_fit, commands("decay"))
     sp.add_argument("--csv", required=True)
-    sp.add_argument("--c1", type=float, default=1.0)
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--d", type=float, default=2.0)
-    sp.add_argument("--delta", type=float, default=0.1)
-    sp.add_argument("--m", type=int, default=3)
-    sp.add_argument("--c-low", type=float, default=1.0)
-    sp.add_argument("--C-ls", dest="C_ls", type=float, default=1.0)
-    sp.add_argument("--a-ls", dest="a_ls", type=float, default=1.0)
+    sp.add_argument("--k", type=positive, default=1)
+    sp.add_argument("--d", type=positive_real, default=2.0)
+    sp.add_argument("--delta", type=positive_real, default=0.1)
+    sp.add_argument("--m", type=at_least_two, default=3)
+    sp.add_argument("--c-low", type=finite, default=1.0)
+    sp.add_argument("--C-ls", dest="C_ls", type=finite, default=1.0)
+    sp.add_argument("--a-ls", dest="a_ls", type=finite, default=1.0)
 
-    rel = sub.add_parser("relclose")
-    rsub = rel.add_subparsers(dest="subcommand", required=True)
-    sp = rsub.add_parser("find")
-    sp.set_defaults(func=cmd_relclose_find)
+    rel = commands("relclose")
+    sp = add("find", cmd_relclose_find, rel)
     sp.add_argument("--ifs", required=True)
-    sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--eps", type=positive_real, required=True)
     sp.add_argument("--phi")
     sp.add_argument("--depth", type=level, default=12)
     sp.add_argument("--out")
-    sp = rsub.add_parser("double")
-    sp.set_defaults(func=cmd_relclose_double)
+    sp = add("double", cmd_relclose_double, rel)
     sp.add_argument("--ifs", required=True)
     sp.add_argument("--cert", required=True)
-    sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--eps", type=positive_real, required=True)
     sp.add_argument("--depth", type=level, default=12)
     sp.add_argument("--out")
-    sp = rsub.add_parser("power")
-    sp.set_defaults(func=cmd_relclose_power)
+    sp = add("power", cmd_relclose_power, rel)
     sp.add_argument("--ifs", required=True)
     sp.add_argument("--u", required=True)
     sp.add_argument("--v", required=True)
     sp.add_argument("--n", type=level, required=True)
-    sp.add_argument("--eps", type=float, default=1e-6)
+    sp.add_argument("--eps", type=positive_real, default=1e-6)
     sp.add_argument("--out")
 
     sp = add("density", cmd_density)
@@ -343,37 +351,34 @@ def build_parser():
 
     sp = add("dioph", cmd_dioph)
     sp.add_argument("--alpha", required=True)
-    sp.add_argument("--nmax", type=int, required=True)
-    sp.add_argument("--d", type=float, required=True)
+    sp.add_argument("--nmax", type=at_least_two, required=True)
+    sp.add_argument("--d", type=finite, required=True)
 
     sp = add("net", cmd_net)
     sp.add_argument("--theta-over-pi", dest="theta_over_pi", required=True)
-    sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--eps", type=positive_real, required=True)
     sp.add_argument("--pmax", type=positive, default=1_000_000)
-    sp.add_argument("--d", type=float, default=2.0)
+    sp.add_argument("--d", type=finite, default=2.0)
 
-    count = sub.add_parser("count")
-    csub = count.add_subparsers(dest="subcommand", required=True)
-    sp = csub.add_parser("avoid")
-    sp.set_defaults(func=cmd_count_avoid)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--blocks", type=int, required=True)
-    sp = csub.add_parser("removal")
-    sp.set_defaults(func=cmd_count_removal)
+    count = commands("count")
+    sp = add("avoid", cmd_count_avoid, count)
+    sp.add_argument("--m", type=at_least_two, required=True)
+    sp.add_argument("--s", type=positive, required=True)
+    sp.add_argument("--blocks", type=positive, required=True)
+    sp = add("removal", cmd_count_removal, count)
     sp.add_argument("--ifs", required=True)
     sp.add_argument("--target", required=True)
-    sp.add_argument("--steps", type=int, required=True)
+    sp.add_argument("--steps", type=level, required=True)
     sp.add_argument("--phi", default="0")
-    sp.add_argument("--eps", type=float, default=2.0)
+    sp.add_argument("--eps", type=positive_real, default=2.0)
 
     sp = add("schedule", cmd_schedule)
     sp.add_argument("--ifs", required=True)
-    sp.add_argument("--n", type=level, required=True)
-    sp.add_argument("--c1", type=float, default=1.0)
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--d", type=float, default=2.0)
-    sp.add_argument("--delta", type=float, default=0.1)
+    sp.add_argument("--n", type=positive, required=True)
+    sp.add_argument("--c1", type=positive_real, default=1.0)
+    sp.add_argument("--k", type=positive, default=1)
+    sp.add_argument("--d", type=positive_real, default=2.0)
+    sp.add_argument("--delta", type=positive_real, default=0.1)
 
     return p
 
@@ -384,13 +389,7 @@ def run(argv):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
-    print(
-        "config: " + json.dumps(
-            {k: v for k, v in sorted(vars(args).items()) if k != "func"},
-            default=str, sort_keys=True,
-        ),
-        file=sys.stderr,
-    )
+    print("config: " + _config(args), file=sys.stderr)
     try:
         return args.func(args)
     except ConfigError as e:
@@ -398,6 +397,10 @@ def run(argv):
         return 2
     except FavlabError as e:
         print(f"ERROR {e}", file=sys.stderr)
+        return 1
+    except OverflowError as e:  # float arithmetic beyond the float range
+        print(f"ERROR {NumericOverflow(f'a result exceeds the float range ({e})')}",
+              file=sys.stderr)
         return 1
 
 

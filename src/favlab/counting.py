@@ -8,8 +8,11 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import EnumerationCap, PreconditionViolated
+from .errors import EnumerationCap, NumericOverflow, PreconditionViolated, SymbolOutOfRange
+from .ifs import exceeds
 from .rotation import find_rotation_word, steering_suffix
+
+ENUMERATION_CAP = 500_000  # cylinders of one removal step
 
 
 @dataclass
@@ -20,8 +23,7 @@ class RemovalTrace:
     survivors: int  # cylinder count of the final survivor set
 
 
-def removal_recursion(ifs, target, phi, eps, steps, a_word=None, cap=500_000,
-                      p_max=1_000_000):
+def removal_recursion(ifs, target, phi, eps, steps):
     """Finite-depth run of the cylinder-removal construction.
 
     Survivor sets are kept as explicit disjoint cylinder lists.  Each step
@@ -31,7 +33,10 @@ def removal_recursion(ifs, target, phi, eps, steps, a_word=None, cap=500_000,
     """
     if steps < 0:
         raise PreconditionViolated("steps >= 0 required")
-    a = a_word or find_rotation_word(ifs, eps)
+    for sym in target:
+        if not 1 <= sym <= ifs.m:
+            raise SymbolOutOfRange(f"symbol {sym} outside 1..{ifs.m}")
+    a = find_rotation_word(ifs, eps)
     survivors = [()]
     masses = [1.0]
     max_suffix = 0
@@ -39,20 +44,20 @@ def removal_recursion(ifs, target, phi, eps, steps, a_word=None, cap=500_000,
         next_survivors = []
         removed_mass = 0.0
         for v in survivors:
-            t_v = steering_suffix(ifs, v, phi, eps, a, p_max=p_max)
+            t_v = steering_suffix(ifs, v, phi, eps, a)
             max_suffix = max(max_suffix, len(t_v))
             block = len(t_v) + len(target)
             forbidden = t_v + target
-            if ifs.m**block > cap:
-                raise EnumerationCap(f"expansion m^{block} exceeds cap {cap}")
+            if exceeds(ifs.m, block, ENUMERATION_CAP):
+                raise EnumerationCap(f"expansion m^{block} exceeds cap {ENUMERATION_CAP}")
             # expand [v] into cylinders one block deeper, minus [v t_v target]
             for w in itertools.product(range(1, ifs.m + 1), repeat=block):
                 if w == forbidden:
                     removed_mass += ifs.mu_mass(v + w)
                 else:
                     next_survivors.append(v + w)
-            if len(next_survivors) > cap:
-                raise EnumerationCap(f"survivor cylinders exceed cap {cap}")
+            if len(next_survivors) > ENUMERATION_CAP:
+                raise EnumerationCap(f"survivor cylinders exceed cap {ENUMERATION_CAP}")
         survivors = next_survivors
         masses.append(masses[-1] - removed_mass)
     n0 = max_suffix
@@ -82,6 +87,10 @@ def h2_length_bound(m, s, blocks, r):
     schedule-scale relaxation 3 e^-s applies (it needs blocks >= m^s * s)."""
     if abs(r - 1.0 / m) > 1e-12:
         raise PreconditionViolated("r = 1/m required")
+    # m^s - 1 >= m^s / 2, so the count has at least blocks*(s log2 m - 1)
+    # bits; refuse a float-overflowing count before forming the integer
+    if blocks * (s * math.log2(m) - 1.0) >= 1024:
+        raise NumericOverflow(f"({m}^{s} - 1)^{blocks} exceeds the float range")
     exact, _ = avoidance_count(m, s, blocks)
     L = blocks * s
     value = float(exact) * 3.0 * r**L

@@ -61,8 +61,8 @@ class ResolutionTooCoarse(FavlabError):
     code = "resolution"
 
 
-class CenterHit(FavlabError):
-    code = "center-hit"
+class NumericOverflow(FavlabError):
+    code = "overflow"
 
 
 class NonHomogeneous(FavlabError):

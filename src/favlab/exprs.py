@@ -16,6 +16,7 @@ import mpmath
 
 from .errors import ConfigError
 
+FRACTION_BITS = 130  # binary digits of the rational truncation of an irrational
 _TOKEN = re.compile(r"\s*(\d+\.\d*|\.\d+|\d+|pi|sqrt|[()+\-*/])")
 
 
@@ -27,12 +28,12 @@ class ExprValue:
         self.exact = exact
         self.value = float(mp)
 
-    def as_fraction(self, bits=130):
-        """Exact value if rational, else a 2^-bits binary truncation."""
+    def as_fraction(self):
+        """Exact value if rational, else a 2^-FRACTION_BITS binary truncation."""
         if self.exact is not None:
             return self.exact
-        scaled = mpmath.floor(self.mp * mpmath.mpf(2) ** bits)
-        return Fraction(int(scaled), 2**bits)
+        scaled = mpmath.floor(self.mp * mpmath.mpf(2) ** FRACTION_BITS)
+        return Fraction(int(scaled), 2**FRACTION_BITS)
 
 
 def _tokenize(text):
@@ -119,4 +120,7 @@ def parse_expr(text):
         mp, ex = expr()
         if idx[0] != len(tokens):
             raise ConfigError(f"trailing input in {text!r}")
-        return ExprValue(+mp, ex)
+        value = ExprValue(+mp, ex)
+    if not math.isfinite(value.value):
+        raise ConfigError(f"{text!r} exceeds the float range")
+    return value

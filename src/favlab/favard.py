@@ -26,12 +26,13 @@ from .errors import (
     DegenerateFit,
     LevelTooLarge,
     NonHomogeneous,
+    NumericOverflow,
     PreconditionViolated,
     RhoTooSmall,
 )
-from .ifs import CylinderBatch, DiskBody
+from .ifs import CylinderBatch, DiskBody, exceeds
 
-DEFAULT_INTERVAL_CAP = 2**24
+INTERVAL_CAP = 2**24  # projected intervals of one level
 RHO_CAP_LEVEL = 600  # r_min^level floor for the neighborhood sweep
 
 
@@ -94,18 +95,17 @@ class _LevelSweeper:
     body's cover is anchored at the disk's centre, a hull body's at the
     origin, where its images are the cylinders' translations."""
 
-    def __init__(self, ifs, body=None, cap=DEFAULT_INTERVAL_CAP):
+    def __init__(self, ifs, body=None):
         self.ifs = ifs
         self.body = body or DiskBody(ifs.center, ifs.R0)
-        self.cap = cap
         self.n = 0
         self._disk = isinstance(self.body, DiskBody)
         self.cover = CylinderBatch.at(self.body.center if self._disk else (0.0, 0.0))
         self._half = self._common_half()
 
     def advance_to(self, n):
-        if self.ifs.m**n > self.cap:
-            raise LevelTooLarge(f"{self.ifs.m}^{n} intervals exceed cap {self.cap}")
+        if exceeds(self.ifs.m, n, INTERVAL_CAP):
+            raise LevelTooLarge(f"{self.ifs.m}^{n} intervals exceed cap {INTERVAL_CAP}")
         while self.n < n:
             self.cover = self.cover.children(self.ifs.maps)
             self.n += 1
@@ -139,23 +139,23 @@ class _LevelSweeper:
         return self.merged_at(theta).total_length
 
 
-def level_projection_length(ifs, n, theta, body=None, cap=DEFAULT_INTERVAL_CAP):
+def level_projection_length(ifs, n, theta, body=None):
     """Total length and merged interval set of the projected level-n cover."""
-    sweeper = _LevelSweeper(ifs, body=body, cap=cap)
+    sweeper = _LevelSweeper(ifs, body=body)
     sweeper.advance_to(n)
     merged = sweeper.merged_at(theta)
     return merged.total_length, merged
 
 
-def neighborhood_projection_length(ifs, rho, theta, body=None, cap=2_000_000):
+def neighborhood_projection_length(ifs, rho, theta):
     """Projected length of the rho-neighborhood estimate: mass-band cylinder
-    intervals padded by rho, merged."""
+    intervals of the enclosing disk padded by rho, merged."""
     if not (0.0 < rho < 1.0):
         raise PreconditionViolated("rho in (0,1) required")
     if rho < ifs.r_min**RHO_CAP_LEVEL:
         raise RhoTooSmall(f"rho below r_min^{RHO_CAP_LEVEL}")
-    body = body or DiskBody(ifs.center, ifs.R0)
-    band = ifs.band(rho, cap=cap)
+    body = DiskBody(ifs.center, ifs.R0)
+    band = ifs.band(rho)
     los, his = np.empty(len(band)), np.empty(len(band))
     for k, g in enumerate(band):
         lo, hi = body.interval(g, theta)
@@ -173,13 +173,13 @@ class FavardResult:
     lengths: np.ndarray
 
 
-def projection_sweep(ifs, ns, thetas, body=None, workers=None, cap=DEFAULT_INTERVAL_CAP):
+def projection_sweep(ifs, ns, thetas, body=None, workers=None):
     """Per-theta lengths for each level in ns (ascending).  The result is a
     deterministic function of (ifs, ns, thetas) regardless of worker count."""
     ns = sorted(ns)
     thetas = list(thetas)
     workers = workers or default_workers()
-    sweeper = _LevelSweeper(ifs, body=body, cap=cap)
+    sweeper = _LevelSweeper(ifs, body=body)
     out = {}
     with ExitStack() as stack:
         mapper = map
@@ -191,15 +191,18 @@ def projection_sweep(ifs, ns, thetas, body=None, workers=None, cap=DEFAULT_INTER
     return out
 
 
-def favard(ifs, n, K, body=None, workers=None, cap=DEFAULT_INTERVAL_CAP):
+def favard(ifs, n, K, body=None):
     """Midpoint-rule Favard integral of the level-n cover over K angles."""
     if K < 1:
         raise PreconditionViolated("K >= 1 required")
     thetas = [(j + 0.5) * math.pi / K for j in range(K)]
-    lengths = projection_sweep(ifs, [n], thetas, body=body, workers=workers, cap=cap)[n]
+    lengths = projection_sweep(ifs, [n], thetas, body=body)[n]
+    value = float(lengths.sum() * math.pi / K)
+    if not math.isfinite(value):
+        raise NumericOverflow(f"Favard integral at n={n} exceeds the float range")
     return FavardResult(
         n=n,
-        value=float(lengths.sum() * math.pi / K),
+        value=value,
         max_over_theta=float(lengths.max()),
         thetas=np.array(thetas),
         lengths=lengths,
@@ -234,7 +237,10 @@ class FavardSchedule:
 
 
 def bound_constant(k, d, m, delta):
-    """Decay exponent log 2 / ((1+delta) k (d+1) log m)."""
+    """Decay exponent log 2 / ((1+delta) k (d+1) log m), for k, d, delta > 0
+    and m >= 2."""
+    if min(k, d, delta) <= 0 or m < 2:
+        raise PreconditionViolated("k, d, delta > 0 and m >= 2 required")
     return math.log(2.0) / ((1.0 + delta) * k * (d + 1.0) * math.log(m))
 
 
@@ -244,15 +250,18 @@ def schedule(ifs, n, c1, k, d, delta):
     rs = [f.r for f in ifs.maps]
     if max(rs) - min(rs) > 1e-12:
         raise NonHomogeneous("schedule requires a common contraction ratio")
-    if min(c1, k, delta) <= 0 or d <= 0 or n < 1:
+    if c1 <= 0 or n < 1:
         raise PreconditionViolated("positive schedule parameters required")
     m = len(rs)
+    B = bound_constant(k, d, m, delta)
     r = rs[0]
     log_m = math.log(m)
     s_n = 2.0 * c1 * m ** ((d + 1.0) * k * n)
     log_L_n = s_n * log_m + 2.0 * math.log(s_n)
     log_neg_log_rho = log_L_n + math.log(-math.log(r))
     lower = log_neg_log_rho / (1.0 + log_m)
+    if not math.isfinite(lower):
+        raise NumericOverflow(f"schedule at n={n} exceeds the float range")
     return FavardSchedule(
         c1=c1,
         k=k,
@@ -263,7 +272,7 @@ def schedule(ifs, n, c1, k, d, delta):
         s_n=s_n,
         log_L_n=log_L_n,
         log_neg_log_rho=log_neg_log_rho,
-        B=bound_constant(k, d, m, delta),
+        B=B,
         s_lower_bound=lower,
         inequality_holds=s_n * (1.0 + log_m) >= log_neg_log_rho,
     )
@@ -278,6 +287,8 @@ def bound_curves(B, m, c_low, C_ls, a_ls, grid, A=1.0):
     lower = [c_low / n for n in grid]
     # log_*(m^n) = 1 + log_*(n log m) for n >= 1 without forming m^n
     ls = [C_ls * math.exp(-a_ls * (1 + log_star(n * log_m))) for n in grid]
+    if not all(map(math.isfinite, ls)):
+        raise NumericOverflow("log_star curve exceeds the float range")
     log_power = [
         A / math.log(n) ** B if n > 1 else math.inf for n in grid
     ]
@@ -319,8 +330,8 @@ def fit_decay(samples):
     pts = [(n, y) for n, y in samples if n >= 3]
     if len(pts) < 3:
         raise DegenerateFit("need >= 3 samples with n >= 3")
-    if any(y <= 0 for _, y in pts):
-        raise DegenerateFit("lengths must be positive")
+    if not all(0 < y < math.inf for _, y in pts):
+        raise DegenerateFit("lengths must be positive and finite")
     x = np.array([math.log(math.log(n)) for n, _ in pts])
     y = np.array([math.log(v) for _, v in pts])
     if np.ptp(x) == 0.0:

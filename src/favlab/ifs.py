@@ -23,7 +23,6 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -33,6 +32,10 @@ TWO_PI = 2.0 * math.pi
 
 Word = tuple  # tuple of 1-based symbols
 TAIL_CACHE = 4096  # anchor tails held per system
+BAND_CAP = 2_000_000  # words of one mass band
+HULL_DEPTH = 6  # attractor sample depth of the hull
+HULL_SAMPLE_CAP = 200_000  # sample points past which the hull stops refining
+HULL_TOL = 1e-9  # containment slack of the hull invariance check
 
 
 def norm_angle(t):
@@ -59,6 +62,24 @@ def parse_word(text):
 
 def word_str(u):
     return "".join(str(s) for s in u)
+
+
+def exceeds(m, n, cap):
+    """Whether m**n > cap, without forming m**n for a huge n."""
+    return m ** min(n, cap.bit_length()) > cap
+
+
+def finite_number(value, what):
+    """A finite JSON number as a float; ``what`` names it in the ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} must be finite")
+    return x
 
 
 @dataclass(frozen=True)
@@ -232,6 +253,8 @@ class IFS:
             raise ConfigError("no maps")
         gamma = similarity_dimension([f.r for f in maps])
         center, R0 = _enclosing_disk(maps)
+        if not all(map(math.isfinite, (*center, 2.0 * R0))):
+            raise ConfigError("the enclosing disk of the maps exceeds the float range")
         return cls(
             maps=maps,
             gamma=gamma,
@@ -263,7 +286,7 @@ class IFS:
                     raise ConfigError(f"map {i}: missing field {key!r}")
             if not isinstance(m.get("reflect", False), bool):
                 raise ConfigError(f"map {i}: reflect must be true or false")
-            num = {k: _map_number(i, k, v) for k, v in m.items() if k != "reflect"}
+            num = {k: finite_number(v, f"map {i}: {k}") for k, v in m.items() if k != "reflect"}
             theta = num["theta"] if "theta" in num else num["theta_over_pi"] * math.pi
             if not math.isfinite(theta):
                 raise ConfigError(f"map {i}: theta_over_pi * pi overflows")
@@ -323,11 +346,11 @@ class IFS:
         g = self.compose(u)
         return math.exp(self.gamma * g.log_r)
 
-    def mass_band(self, r, cap=2_000_000):
+    def mass_band(self, r):
         """All words s with r*r_min < r_s <= r, in depth-first symbol order."""
-        return self.band(r, cap).words
+        return self.band(r).words
 
-    def band(self, r, cap=2_000_000):
+    def band(self, r, cap=BAND_CAP):
         """The mass band of level r with the geometry of each word.
 
         The depth-first descent carries each node's geometry, the child being
@@ -428,19 +451,6 @@ class Band:
         return CylinderGeometry(
             self.r[k], self.theta[k], self.orient[k], self.tx[k], self.ty[k], self.log_r[k]
         )
-
-
-def _map_number(i, key, value):
-    """A finite JSON number of map i, as a float."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"map {i}: {key} must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        raise ConfigError(f"map {i}: {key} must be finite")
-    return x
 
 
 def _enclosing_disk(maps):
@@ -611,12 +621,6 @@ class HullBody:
             out.append(best)
         return tuple(out)
 
-    def interval(self, geom, theta):
-        m = geom.matrix()
-        pts = geom.r * self.vertices @ m.T + np.array([geom.tx, geom.ty])
-        proj = pts[:, 0] * math.cos(theta) + pts[:, 1] * math.sin(theta)
-        return float(proj.min()), float(proj.max())
-
 
 def _convex_hull(points):
     """Monotone chain; collinear input collapses to its two extreme points."""
@@ -663,10 +667,10 @@ def _contains(vertices, p, tol):
     return True
 
 
-def attractor_hull(ifs, depth=6, tol=1e-9):
+def attractor_hull(ifs):
     """Convex polygon refinement of the enclosing disk.
 
-    Samples the attractor at the given depth (cylinder images of every map's
+    Samples the attractor at depth HULL_DEPTH (cylinder images of every map's
     fixed point), takes the convex hull and then inflates it about its centroid
     until the vertex check F_i(P) subset P certifies invariance.
     """
@@ -674,9 +678,9 @@ def attractor_hull(ifs, depth=6, tol=1e-9):
 
     fixes = [f.fixed_point() for f in ifs.maps]
     sample = CylinderBatch.at(fixes)
-    for _ in range(depth):
+    for _ in range(HULL_DEPTH):
         sample = sample.children(ifs.maps)
-        if len(sample.x) > 200_000:
+        if len(sample.x) > HULL_SAMPLE_CAP:
             break
     hull = _convex_hull(list(zip(sample.x.tolist(), sample.y.tolist())) + fixes)
     cx = sum(p[0] for p in hull) / len(hull)
@@ -685,9 +689,9 @@ def attractor_hull(ifs, depth=6, tol=1e-9):
     for _ in range(60):
         verts = [(cx + (1 + lam) * (x - cx), cy + (1 + lam) * (y - cy)) for x, y in hull]
         ok = all(
-            _contains(verts, f.apply(v), tol) for f in ifs.maps for v in verts
+            _contains(verts, f.apply(v), HULL_TOL) for f in ifs.maps for v in verts
         )
         if ok:
             return HullBody(verts)
-        lam = max(2.0 * lam, ifs.r_min ** depth)
+        lam = max(2.0 * lam, ifs.r_min**HULL_DEPTH)
     raise HullNotInvariant("could not certify an invariant hull")

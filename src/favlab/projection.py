@@ -9,17 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CenterHit,
-    LevelTooLarge,
-    PreconditionViolated,
-    ResolutionTooCoarse,
-)
+from .errors import LevelTooLarge, PreconditionViolated, ResolutionTooCoarse
 from .favard import merge_intervals
-from .ifs import TWO_PI, CylinderBatch, TailWord, circ_dist, norm_angle
+from .ifs import TWO_PI, CylinderBatch, TailWord, exceeds, norm_angle
 from .rotation import find_rotation_word, steering_suffix
 
-DEFAULT_LEVEL_CAP = 2**21
+LEVEL_CAP = 2**21  # cylinders of a level measure or visibility cover
 
 
 def project(point, theta):
@@ -39,16 +34,22 @@ class AtomicMeasure:
         return float(self.weights.sum())
 
 
-def level_measure(ifs, theta, n, cap=DEFAULT_LEVEL_CAP):
+def _level_cover(ifs, anchor, n):
+    """The level-n cylinders anchored at one point, at most LEVEL_CAP."""
+    if exceeds(ifs.m, n, LEVEL_CAP):
+        raise LevelTooLarge(f"{ifs.m}^{n} cylinders exceed cap {LEVEL_CAP}")
+    cover = CylinderBatch.at(anchor)
+    for _ in range(n):
+        cover = cover.children(ifs.maps)
+    return cover
+
+
+def level_measure(ifs, theta, n):
     """One atom per length-n word at the projected coded point of u.1-bar,
     weighted by the natural measure r_u^gamma."""
     if n < 0:
         raise PreconditionViolated("n >= 0 required")
-    if ifs.m**n > cap:
-        raise LevelTooLarge(f"{ifs.m}^{n} atoms exceed cap {cap}")
-    cover = CylinderBatch.at(ifs.maps[0].fixed_point())
-    for _ in range(n):
-        cover = cover.children(ifs.maps)
+    cover = _level_cover(ifs, ifs.maps[0].fixed_point(), n)
     return AtomicMeasure(
         positions=cover.project(theta),
         weights=cover.r**ifs.gamma,
@@ -57,9 +58,9 @@ def level_measure(ifs, theta, n, cap=DEFAULT_LEVEL_CAP):
     )
 
 
-def density_profile(ifs, theta, x, radii, n, cap=DEFAULT_LEVEL_CAP):
+def density_profile(ifs, theta, x, radii, n):
     """mu_theta(B(x, r)) / (2r)^gamma for each radius, from the level-n atoms."""
-    measure = level_measure(ifs, theta, n, cap=cap)
+    measure = level_measure(ifs, theta, n)
     out = []
     for r in radii:
         if r <= 0:
@@ -84,7 +85,7 @@ class DensityWitness:
     chain_bound_ok: bool
 
 
-def density_witness(ifs, cert, theta, p_max=1_000_000):
+def density_witness(ifs, cert, theta):
     """Constructed high-density ball for a verified family.
 
     Finds a steering prefix s with orientation +1 and theta_s + theta_cert
@@ -99,7 +100,7 @@ def density_witness(ifs, cert, theta, p_max=1_000_000):
     r_u1 = math.exp(g1.log_r)
     a = find_rotation_word(ifs, r_u1)
     target = norm_angle(theta - cert.theta)
-    s = steering_suffix(ifs, (), target, r_u1, a, p_max=p_max)
+    s = steering_suffix(ifs, (), target, r_u1, a)
     gs = ifs.compose(s)
     psi = norm_angle(theta - gs.theta)  # projection direction with F_s removed
 
@@ -146,14 +147,6 @@ def density_witness(ifs, cert, theta, p_max=1_000_000):
     )
 
 
-def radial_project(x, a):
-    """Direction angle of x as seen from a, in [0, 2*pi)."""
-    dx, dy = x[0] - a[0], x[1] - a[1]
-    if math.hypot(dx, dy) < 1e-12:
-        raise CenterHit("point coincides with the projection center")
-    return norm_angle(math.atan2(dy, dx))
-
-
 def _merge_circular_arcs(starts, widths):
     """Union of circular arcs as a list of (start, length) components.
     Returns (components, full_circle)."""
@@ -188,18 +181,14 @@ class VisibilityEstimate:
     full_circle: bool
 
 
-def visibility_estimate(ifs, a, s, n, cap=DEFAULT_LEVEL_CAP):
+def visibility_estimate(ifs, a, s, n):
     """Arc-cover estimate of the s-content of the radial projection of the
     level-n cover.  Cylinder disks containing the center project to the whole
     circle and are reported, keeping the estimate an upper bound and the
     sequence in n nonincreasing."""
     if not (0.0 < s <= 2.0):
         raise PreconditionViolated("s in (0, 2] required")
-    if ifs.m**n > cap:
-        raise LevelTooLarge(f"{ifs.m}^{n} cylinders exceed cap {cap}")
-    cover = CylinderBatch.at(ifs.center)
-    for _ in range(n):
-        cover = cover.children(ifs.maps)
+    cover = _level_cover(ifs, ifs.center, n)
     radii = cover.r * ifs.R0
     dx = cover.x - a[0]
     dy = cover.y - a[1]
@@ -208,14 +197,9 @@ def visibility_estimate(ifs, a, s, n, cap=DEFAULT_LEVEL_CAP):
     n_engulf = int(engulfing.sum())
     if n_engulf > 0:
         # a cylinder disk containing the center covers every direction
-        delta = TWO_PI
-        k = 1
         return VisibilityEstimate(
-            covering_sum=k * (TWO_PI / k) ** s,
-            delta=delta,
-            components=1,
-            engulfing_cylinders=n_engulf,
-            full_circle=True,
+            covering_sum=TWO_PI**s, delta=TWO_PI, components=1,
+            engulfing_cylinders=n_engulf, full_circle=True,
         )
     mid = np.arctan2(dy, dx) % TWO_PI
     half = np.arcsin(np.minimum(1.0, radii / dist))

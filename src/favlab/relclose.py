@@ -14,6 +14,7 @@ Constructors never emit a certificate that fails an independent re-check.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,16 +22,16 @@ from .errors import (
     BudgetExhausted,
     ConfigError,
     Indeterminate,
-    NoNetWithinBound,
     NoReflectorAvailable,
+    NumericOverflow,
     PreconditionViolated,
     VerificationFailed,
 )
-from .ifs import TWO_PI, TailWord, circ_dist, norm_angle, word_str
+from .ifs import TWO_PI, TailWord, circ_dist, finite_number, norm_angle, parse_word, word_str
 from .projection import project
-from .rotation import epsilon_net, find_rotation_word
+from .rotation import NET_P_MAX, epsilon_net, find_rotation_word, sigma_arithmetic
 
-COINCIDENCE_TOL = 1e-9  # exact-coincidence surrogate, relative to D*min(r)
+PAIR_BAND_CAP = 500_000  # words of one mass band of the pair search
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,6 @@ class PairReport:
 @dataclass
 class SearchBudget:
     max_depth: int = 12
-    max_band: int = 500_000
-    p_max: int = 1_000_000
 
 
 @dataclass
@@ -96,11 +95,9 @@ class RelCloseCertificate:
         """Read a certificate written by ``to_dict``; its slacks are not read
         but recomputed by whoever verifies it.  A document that does not
         follow the schema raises ConfigError."""
-        from .ifs import parse_word
-
         words = tuple(parse_word(w) for w in _cert_list(data, "words", str))
-        eps = _cert_number(data, "eps")
-        theta = _cert_number(data, "theta")
+        eps = finite_number(_cert_field(data, "eps", (int, float)), "certificate: 'eps'")
+        theta = finite_number(_cert_field(data, "theta", (int, float)), "certificate: 'theta'")
         omegas = {}
         for i, e in enumerate(_cert_list(data, "omegas", dict)):
             where = f"certificate omegas[{i}]"
@@ -146,17 +143,6 @@ def _cert_list(data, key, kind):
     return items
 
 
-def _cert_number(data, key):
-    """data[key] as a float, which must be a finite JSON number."""
-    try:
-        x = float(_cert_field(data, key, (int, float)))
-    except OverflowError:  # an integer literal beyond the float range
-        x = math.inf
-    if not math.isfinite(x):
-        raise ConfigError(f"certificate: {key!r} must be finite")
-    return x
-
-
 def check_relclose(ifs, u, v, eps, theta, omega):
     """Independent verifier for one pair; slacks are margins to violation
     (all positive means pass).  Raises Indeterminate when coded-point error
@@ -171,6 +157,8 @@ def check_relclose(ifs, u, v, eps, theta, omega):
     else:
         slack_ii = eps - circ_dist(gu.theta, gv.theta)
     thresh = eps * ifs.D * math.exp(min(gu.log_r, gv.log_r))
+    if not math.isfinite(thresh):
+        raise NumericOverflow(f"threshold eps*D*r at eps={eps} exceeds the float range")
     slack_iii = -math.inf
     if ifs.D == 0.0:
         slack_iii = 0.0
@@ -223,8 +211,6 @@ def find_pair(ifs, eps, phi=None, budget=None):
     the angle-target condition |phi(theta) - theta_u| < eps is met by
     appending copies of the small-rotation word a(eps/2) to both words.
     """
-    from .rotation import sigma_arithmetic
-
     budget = budget or SearchBudget()
     sigma = sigma_arithmetic([-math.log(f.r) for f in ifs.maps], tol=1e-9)
     a = find_rotation_word(ifs, eps / 2.0)
@@ -235,7 +221,7 @@ def find_pair(ifs, eps, phi=None, budget=None):
     r = 1.0
     for _depth in range(1, budget.max_depth + 1):
         r *= ifs.r_min
-        band = ifs.band(r, cap=budget.max_band)
+        band = ifs.band(r, cap=PAIR_BAND_CAP)
         buckets = {}
         collision = None
         for k, (th, o, lr) in enumerate(zip(band.theta, band.orient, band.log_r)):
@@ -249,9 +235,7 @@ def find_pair(ifs, eps, phi=None, budget=None):
         iu, iv = collision
         u, v, gu, gv = band.words[iu], band.words[iv], band[iu], band[iv]
         if gu.orient == -1:
-            i0 = next(
-                (i for i, f in enumerate(ifs.maps, start=1) if f.orient == -1), None
-            )
+            i0 = next((i for i, f in enumerate(ifs.maps, start=1) if f.orient == -1), None)
             if i0 is None:
                 raise NoReflectorAvailable("collision has orientation -1")
             u, v = u + (i0,), v + (i0,)
@@ -260,7 +244,7 @@ def find_pair(ifs, eps, phi=None, budget=None):
         if phi is not None:
             target = phi(theta)
             ga = ifs.compose(a)
-            net = epsilon_net(ga.theta, width, budget.p_max)
+            net = epsilon_net(ga.theta, width, NET_P_MAX)
             for j in range(net.p + 1):
                 du = circ_dist(gu.theta + j * ga.theta, target)
                 dv = circ_dist(gv.theta + j * ga.theta, target)
@@ -380,8 +364,6 @@ def power_family(ifs, u, v, n, eps=1e-6):
     """The 2^n words made of n blocks from {u, v}, for non-rotating blocks of
     equal length; every pair is relatively close at numeric tolerance with the
     same tail u-bar and the direction perpendicular to the two coded points."""
-    import itertools
-
     if u == v or len(u) != len(v):
         raise PreconditionViolated("need distinct u, v of equal length")
     gu, gv = ifs.compose(u), ifs.compose(v)

@@ -1,5 +1,5 @@
-"""Circle-rotation combinatorics: orbit nets, pigeonhole approximation,
-Diophantine profiling from continued fractions, and steering suffixes."""
+"""Circle-rotation combinatorics: orbit nets, Diophantine profiling from
+continued fractions, and steering suffixes."""
 
 from __future__ import annotations
 
@@ -12,12 +12,15 @@ import numpy as np
 from .errors import (
     NoNetWithinBound,
     NoReflectorAvailable,
+    NumericOverflow,
     PreconditionViolated,
     RationalAlpha,
 )
 from .ifs import TWO_PI, circ_dist, norm_angle
 
-DEFAULT_P_MAX = 1_000_000
+NET_P_MAX = 1_000_000  # orbit length bound of the nets that steer words
+ROTATION_K_MAX = 200_000  # rotation powers scanned for a small-rotation word
+SIGMA_MAX_DEN = 1_000_000  # denominator bound of the ratio relations
 
 
 @dataclass(frozen=True)
@@ -64,19 +67,10 @@ def epsilon_net(theta1, eps, p_max, d=2.0):
         else:
             lo = mid + 1
     gap = _orbit_max_gap(theta1, hi)
-    return NetResult(p=hi, max_gap=gap, c1_hat=hi * eps ** (d + 1))
-
-
-def pigeonhole_approx(alpha, eps):
-    """Smallest N <= ceil(1/eps) with |N*alpha - M| < eps, M nearest integer."""
-    if not (0.0 < eps < 1.0):
-        raise PreconditionViolated("eps in (0,1) required")
-    n_max = math.ceil(1.0 / eps)
-    for n in range(1, n_max + 1):
-        m = round(n * alpha)
-        if abs(n * alpha - m) < eps:
-            return n, m
-    raise NoNetWithinBound("pigeonhole scan failed")  # unreachable in theory
+    c1_hat = hi * eps ** (d + 1)
+    if not math.isfinite(c1_hat):
+        raise NumericOverflow(f"c1_hat = {hi} * eps^{d + 1} exceeds the float range")
+    return NetResult(p=hi, max_gap=gap, c1_hat=c1_hat)
 
 
 def _continued_fraction_convergents(frac, n_max):
@@ -133,7 +127,7 @@ def diophantine_profile(alpha, n_max, d):
     return DiophProfile(convergents=tuple(triples), c_hat=float(c_hat), d_hat=d_hat)
 
 
-def sigma_arithmetic(values, tol, max_den=1_000_000):
+def sigma_arithmetic(values, tol):
     """Largest sigma > 0 with every value an integer multiple of sigma (within
     tol), found by a rational-relation scan on ratios; None if no relation."""
     values = [float(v) for v in values]
@@ -144,7 +138,7 @@ def sigma_arithmetic(values, tol, max_den=1_000_000):
     lcm = 1
     for v in values:
         ratio = v / base
-        fr = Fraction(ratio).limit_denominator(max_den)
+        fr = Fraction(ratio).limit_denominator(SIGMA_MAX_DEN)
         if abs(fr.denominator * ratio - fr.numerator) > tol:
             return None
         mults.append(fr)
@@ -160,7 +154,7 @@ def sigma_arithmetic(values, tol, max_den=1_000_000):
     return sigma
 
 
-def find_rotation_word(ifs, eps, k_max=200_000):
+def find_rotation_word(ifs, eps):
     """A word a(eps): orientation +1, nonzero angle with |theta_a| < eps.
     Scans pure powers i^k of the rotating maps, shortest hit first."""
     rot = [
@@ -170,15 +164,15 @@ def find_rotation_word(ifs, eps, k_max=200_000):
     ]
     if not rot:
         raise NoNetWithinBound("system has no rotating map")
-    for k in range(1, k_max + 1):
+    for k in range(1, ROTATION_K_MAX + 1):
         for i, th in rot:
             ang = norm_angle(k * th)
             if 0.0 < circ_dist(ang, 0.0) < eps:
                 return (i,) * k
-    raise NoNetWithinBound(f"no rotation power within {eps} in {k_max} steps")
+    raise NoNetWithinBound(f"no rotation power within {eps} in {ROTATION_K_MAX} steps")
 
 
-def steering_suffix(ifs, base, phi, eps, a_word, p_max=DEFAULT_P_MAX):
+def steering_suffix(ifs, base, phi, eps, a_word):
     """Suffix t of <= p copies of a_word (optionally after one reflecting
     symbol) with orientation(base.t) = +1 and |theta(base.t) - phi| < eps."""
     ga = ifs.compose(a_word)
@@ -194,7 +188,7 @@ def steering_suffix(ifs, base, phi, eps, a_word, p_max=DEFAULT_P_MAX):
         gb = ifs.compose(base + head)
     if circ_dist(gb.theta, phi) < eps:
         return head
-    net = epsilon_net(ga.theta, eps, p_max)
+    net = epsilon_net(ga.theta, eps, NET_P_MAX)
     for j in range(1, net.p + 1):
         if circ_dist(gb.theta + j * ga.theta, phi) < eps:
             return head + a_word * j

@@ -7,40 +7,44 @@ import math
 
 from .errors import LevelTooLarge
 from .favard import _LevelSweeper
+from .ifs import exceeds
+
+SVG_SIZE = 640  # pixels across the point cloud
+GLYPH_CAP = 200_000  # circles of one drawing
 
 
 def _fmt(v):
     return f"{v:.6f}"
 
 
-def render_svg(ifs, depth, theta=None, size=640, cap=200_000):
+def render_svg(ifs, depth, theta=None):
     """Point cloud of level-depth cylinder centers sized by r_u * R0.
 
     Output bytes are a pure function of the arguments.
     """
-    if ifs.m**depth > cap:
-        raise LevelTooLarge(f"{ifs.m}^{depth} glyphs exceed cap {cap}")
-    sweeper = _LevelSweeper(ifs, cap=cap)
+    if exceeds(ifs.m, depth, GLYPH_CAP):
+        raise LevelTooLarge(f"{ifs.m}^{depth} glyphs exceed cap {GLYPH_CAP}")
+    sweeper = _LevelSweeper(ifs)
     sweeper.advance_to(depth)
     cover = sweeper.cover
     radii = cover.r * ifs.R0
     cx, cy = ifs.center
     r0 = max(ifs.R0, 1e-9)
     margin = 1.1
-    scale = size / (2.0 * r0 * margin)
+    scale = SVG_SIZE / (2.0 * r0 * margin)
 
     def sx(x):
-        return (x - cx) * scale + size / 2.0
+        return (x - cx) * scale + SVG_SIZE / 2.0
 
     def sy(y):
-        return size / 2.0 - (y - cy) * scale
+        return SVG_SIZE / 2.0 - (y - cy) * scale
 
     bar_h = 40 if theta is not None else 0
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size + bar_h}" viewBox="0 0 {size} {size + bar_h}">',
-        f'<rect width="{size}" height="{size + bar_h}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+        f'height="{SVG_SIZE + bar_h}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE + bar_h}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE + bar_h}" fill="white"/>',
     ]
     for x, y, r in zip(cover.x.tolist(), cover.y.tolist(), radii.tolist()):
         rr = max(r * scale, 0.3)
@@ -50,9 +54,9 @@ def render_svg(ifs, depth, theta=None, size=640, cap=200_000):
         )
     if theta is not None:
         merged = sweeper.merged_at(theta)
-        y0 = size + 10
+        y0 = SVG_SIZE + 10
         for a, b in merged.intervals:
-            x0 = (a - (cx * math.cos(theta) + cy * math.sin(theta))) * scale + size / 2.0
+            x0 = (a - (cx * math.cos(theta) + cy * math.sin(theta))) * scale + SVG_SIZE / 2.0
             w = (b - a) * scale
             lines.append(
                 f'<rect x="{_fmt(x0)}" y="{y0}" width="{_fmt(max(w, 0.2))}" '

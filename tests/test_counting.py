@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from favlab import counting
 from favlab.errors import EnumerationCap
 from favlab.counting import (
     avoidance_count,
@@ -118,7 +119,8 @@ def test_removal_geometric_bound():
         assert mass <= (1.0 - trace.c) ** i + 1e-12
 
 
-def test_removal_enumeration_cap():
+def test_removal_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(counting, "ENUMERATION_CAP", 1000)
     ifs = toy_ifs()
     with pytest.raises(EnumerationCap):
-        removal_recursion(ifs, (1, 2), 0.0, 7.0, 8, cap=1000)
+        removal_recursion(ifs, (1, 2), 0.0, 7.0, 8)

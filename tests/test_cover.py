@@ -198,6 +198,7 @@ class _Sampled(Exception):
 
 def test_hull_sample_stops_past_the_point_cap(monkeypatch):
     # 4^9 > 200,000: the sample stops at depth 9 although depth 12 is asked
+    monkeypatch.setattr(ifs_mod, "HULL_DEPTH", 12)
     ifs = _seeded_reflected_system(5)
     seen = []
 
@@ -207,7 +208,7 @@ def test_hull_sample_stops_past_the_point_cap(monkeypatch):
 
     monkeypatch.setattr(ifs_mod, "_convex_hull", record)
     with pytest.raises(_Sampled):
-        attractor_hull(ifs, depth=12)
+        attractor_hull(ifs)
     fixes, pts = old_hull_sample(ifs, 12)
     assert len(pts) == 4**9
     assert np.array(seen).tobytes() == np.vstack((pts, fixes)).tobytes()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from favlab.errors import CenterHit, LevelTooLarge
+from favlab.errors import LevelTooLarge
 from favlab.ifs import IFS
 from favlab.projection import (
     AtomicMeasure,
@@ -13,7 +13,6 @@ from favlab.projection import (
     density_witness,
     level_measure,
     project,
-    radial_project,
     visibility_estimate,
     _merge_circular_arcs,
 )
@@ -88,17 +87,6 @@ def test_density_witness_rotated_frame(ifs):
 
 
 # ---------------------------------------------------------------- radial
-
-
-def test_radial_project_quadrants():
-    assert radial_project((1.0, 0.0), (0.0, 0.0)) == pytest.approx(0.0)
-    assert radial_project((0.0, 2.0), (0.0, 0.0)) == pytest.approx(math.pi / 2)
-    assert radial_project((0.0, 1.0), (1.0, 1.0)) == pytest.approx(math.pi)
-
-
-def test_radial_project_center_hit():
-    with pytest.raises(CenterHit):
-        radial_project((1.0, 1.0), (1.0, 1.0 + 1e-14))
 
 
 def _arc_cover_oracle(arcs, samples=20000):

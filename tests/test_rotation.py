@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from favlab import rotation
 from favlab.errors import NoNetWithinBound, RationalAlpha
 from favlab.ifs import IFS, norm_angle
 from favlab.rotation import (
     diophantine_profile,
     epsilon_net,
     find_rotation_word,
-    pigeonhole_approx,
     sigma_arithmetic,
     steering_suffix,
 )
@@ -45,17 +45,6 @@ def test_epsilon_net_rational_angle_fails():
     # orbit of pi/2 has only 4 points; no 0.1-net exists
     with pytest.raises(NoNetWithinBound):
         epsilon_net(math.pi / 2, 0.1, 10_000)
-
-
-def test_pigeonhole_matches_scan_oracle():
-    alpha = ALPHA
-    for eps in (0.1, 0.01, 0.001):
-        n, m = pigeonhole_approx(alpha, eps)
-        assert abs(n * alpha - m) < eps
-        assert 1 <= n <= math.ceil(1.0 / eps)
-        # [DERIVED] first N achieving the bound
-        for k in range(1, n):
-            assert abs(k * alpha - round(k * alpha)) >= eps
 
 
 def test_diophantine_golden_ratio():
@@ -119,12 +108,13 @@ def test_find_rotation_word():
         assert g.orient == 1
 
 
-def test_steering_suffix():
+def test_steering_suffix(monkeypatch):
+    monkeypatch.setattr(rotation, "NET_P_MAX", 10_000)
     ifs = IFS.from_json("configs/fig1.json")
     a = find_rotation_word(ifs, 0.05)
     # steer the angle of the word (2,) to within 0.05 of phi
     for phi in (0.0, 1.0, 3.0, 6.0):
-        suffix = steering_suffix(ifs, (2,), phi, 0.05, a, 10_000)
+        suffix = steering_suffix(ifs, (2,), phi, 0.05, a)
         g = ifs.compose((2,) + suffix)
         d = abs(norm_angle(g.theta - phi))
         assert min(d, 2 * math.pi - d) < 0.05

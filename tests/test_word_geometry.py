@@ -218,8 +218,6 @@ def test_band_cap_and_level_errors():
     ifs = fig1()
     with pytest.raises(LevelTooLarge):
         ifs.band(1e-3, cap=100)
-    with pytest.raises(LevelTooLarge):
-        ifs.mass_band(1e-3, cap=100)
     for r in (0.0, 1.0, -0.5):
         with pytest.raises(ConfigError):
             ifs.band(r)
@@ -289,10 +287,11 @@ def _operations():
         "power_5": _outcome(relclose.power_family, ifs, (2,), (3,), 5),
         "grow_8": _outcome(relclose.grow_family, ifs, 1.0, 8),
         "find_phi": _outcome(relclose.find_pair, ifs, 0.1, phi=lambda th: 0.0),
-        # steered words that never verify run the search into the band cap
-        "find_cap": _outcome(relclose.find_pair, ifs, 0.1, phi=lambda th: th,
-                             budget=relclose.SearchBudget(max_band=2000)),
     }
+    # steered words that never verify run the search into the band cap
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relclose, "PAIR_BAND_CAP", 2000)
+        out["find_cap"] = _outcome(relclose.find_pair, ifs, 0.1, phi=lambda th: th)
     # collisions of orientation -1 take one reflecting symbol
     flipped = IFS.from_maps([ifs.maps[0]] + [
         Similitude(f.r, f.theta, -1, f.tx, f.ty) for f in ifs.maps[1:]
