@@ -1,16 +1,38 @@
 """Level covers, projected interval unions, Favard quadrature, the decay
-schedule, bound curves and the sweep-CSV reader of the decay fit.  The
-per-angle sweep is the hot path: the level-n cover is one
+schedule, bound curves and the sweep-CSV reader of the decay fit.
+
+A sweep takes one of two paths, chosen from the input alone.
+
+The projection recursion serves the one-rotation-class systems of the
+paper's last theorem, fig1 among them: the default enclosing-disk body,
+every ratio exactly equal, and every map that is not a pure homothety
+(theta 0, orientation +1) sharing one (theta, orientation).  A map is
+linear, so the projected level-j cover obeys
+P_j(phi) = U_i r P_{j-1}(o_i (phi - theta_i)) + <e_phi, t_i>, and only
+merged components pass from one level to the next; no cover is built.  The
+directions a level needs are angle keys (s, k), the angle s phi + k theta,
+at most n - j + 1 of them at level j of a pass to level n, and that one pass
+per angle yields every requested level.  Its depth is bounded by MERGE_CAP
+(level-key merges per angle, checked before any work) and by INTERVAL_CAP
+on the intervals one level's merges take in, not by m^n: fig1 runs to
+n = 18 and stops at n = 19.
+
+Every other system takes the level sweeper: the level-n cover is one
 ``CylinderBatch``, expanded once per level, and each angle costs one
-projection and one sort-and-sweep union.  When the body is the enclosing
-disk and every level-n ratio is exactly equal (homogeneous systems, with or
-without reflections), all intervals share one width and the union sorts the
+projection and one sort-and-sweep union, at most INTERVAL_CAP = 2^24
+intervals.  When the body is the enclosing disk and every level-n ratio is
+exactly equal, all intervals share one width and the union sorts the
 projected centres in place, with no argsort, gather or running maximum;
 hull bodies and mixed ratios take the general argsort union.  Both give the
 same bits.  A hull body's intervals come from ``HullBody.support_range``,
 which looks up the few vertices that can be extreme in each direction
 instead of projecting all V vertices of every cylinder; its endpoints are
-bit-identical to the dense N x V form."""
+bit-identical to the dense N x V form.
+
+The recursion's lengths differ from the sweeper's in the last bits (a
+centre projection rounds differently from projecting each cylinder; on
+fig1 at n <= 12 by at most 6.2e-14 relative), and both are bit-identical
+across worker counts."""
 
 from __future__ import annotations
 
@@ -32,22 +54,35 @@ from .errors import (
 )
 from .ifs import CylinderBatch, DiskBody, exceeds
 
-INTERVAL_CAP = 2**24  # projected intervals of one level
+INTERVAL_CAP = 2**24  # projected intervals of one level, swept or recursive
+MERGE_CAP = 4096  # (level, angle key) merges per angle on the recursive path
 RHO_CAP_LEVEL = 600  # r_min^level floor for the neighborhood sweep
 
 
 @dataclass
 class IntervalSet:
+    """Disjoint closed intervals [lo - half, hi + half] in ascending order:
+    endpoints when half is 0, the extreme centres of equal-width intervals
+    otherwise."""
+
     los: np.ndarray
     his: np.ndarray
+    half: float = 0.0
+
+    def endpoints(self):
+        if not self.half:
+            return self.los, self.his
+        return self.los - self.half, self.his + self.half
 
     @property
     def total_length(self):
-        return float((self.his - self.los).sum())
+        lo, hi = self.endpoints()
+        return float((hi - lo).sum())
 
     @property
     def intervals(self):
-        return list(zip(self.los.tolist(), self.his.tolist()))
+        lo, hi = self.endpoints()
+        return list(zip(lo.tolist(), hi.tolist()))
 
     def __len__(self):
         return len(self.los)
@@ -62,22 +97,38 @@ def merge_intervals(los, his=None, *, half=None):
     endpoint arrays and the running maximum of the right ends is the right
     ends themselves.  The result is bit-identical to the general form on
     the same intervals: ties in the left ends never separate components.
+
+    ``merge_intervals(los, his, half=h)`` is the centre form of the
+    projection recursion: it unions the intervals [lo - h, hi + h], lo <= hi,
+    and returns each component as its least lo and greatest hi, with
+    ``half=h``, so endpoints are rounded only to compare, as c - h and
+    c + h.  It sorts ``los`` and ``his`` in place, each on its own: with
+    lo <= hi, the first k left ends in order are followed by a gap exactly
+    when the k smallest right ends all lie before the next left end, and
+    then those right ends are the first k intervals' own, so no argsort,
+    gather or running maximum is needed.
     """
-    if half is None:
+    if his is None:
+        centers = np.asarray(los, dtype=float)
+        centers.sort()
+        lo, reach, half = centers - half, centers + half, 0.0
+    elif half is None:
         los = np.asarray(los, dtype=float)
         order = np.argsort(los)
         lo = los[order]
         reach = np.maximum.accumulate(np.asarray(his, dtype=float)[order])
+        half = 0.0
     else:
-        centers = np.asarray(los, dtype=float)
-        centers.sort()
-        lo, reach = centers - half, centers + half
+        lo, reach = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
+        lo.sort()
+        reach.sort()
     if len(lo) == 0:
-        return IntervalSet(lo, reach)
-    idx = np.flatnonzero(lo[1:] > reach[:-1]) + 1
+        return IntervalSet(lo, reach, half)
+    gap = (lo[1:] - half > reach[:-1] + half) if half else (lo[1:] > reach[:-1])
+    idx = np.flatnonzero(gap) + 1
     starts = np.concatenate((lo[:1], lo[idx]))
     ends = np.concatenate((reach[idx - 1], reach[-1:]))
-    return IntervalSet(starts, ends)
+    return IntervalSet(starts, ends, half)
 
 
 def default_workers():
@@ -139,6 +190,102 @@ class _LevelSweeper:
         return self.merged_at(theta).total_length
 
 
+class _ProjectionRecursion:
+    """Projected lengths of the disk cover of a one-rotation-class system by
+    P_j(phi) = U_i r P_{j-1}(o_i (phi - theta_i)) + <e_phi, t_i>, passing only
+    merged components from level to level.
+
+    A direction is an angle key (s, k), the angle s phi + k theta of the
+    class's (theta, o): the class map sends the key to (o s, o (k - 1)) and a
+    homothety keeps it.  ``keys[j]`` holds, per key of level j, the key each
+    map reads at level j - 1; the pass to the top level needs (1, 0) there
+    and at every requested level.
+
+    A component is its extreme centre projections; its endpoints are formed
+    only to merge and to measure, as c - h and c + h with the level sweeper's
+    own half-width h = r_j R0, r_j built as ``CylinderBatch.children`` builds
+    it."""
+
+    def __init__(self, ifs, theta, orient, ns):
+        self.ifs, self.theta, self.ns = ifs, theta, set(ns)
+        homothety = [f.theta == 0.0 and f.orient == 1 for f in ifs.maps]
+        level = {(1, 0)}
+        keys, merges = [], 0
+        for j in range(max(ns), 0, -1):
+            merges += len(level)
+            if merges > MERGE_CAP:
+                raise LevelTooLarge(
+                    f"level {max(ns)} needs over {MERGE_CAP} angle-key merges per angle"
+                )
+            rows = [
+                ((s, k), [(s, k) if h else (orient * s, orient * (k - 1)) for h in homothety])
+                for s, k in sorted(level)
+            ]
+            keys.append(rows)
+            level = {child for _, children in rows for child in children}
+            if j - 1 in self.ns:
+                level.add((1, 0))
+        keys.append([(key, []) for key in sorted(level)])
+        self.keys = keys[::-1]
+
+    @classmethod
+    def of(cls, ifs, ns, body):
+        """The recursion for an eligible (ifs, ns, body), else None."""
+        if body is not None or not ns or min(ns) < 0:
+            return None
+        if any(f.r != ifs.maps[0].r for f in ifs.maps):
+            return None
+        classes = {(f.theta, f.orient) for f in ifs.maps} - {(0.0, 1)}
+        if len(classes) > 1:
+            return None
+        return cls(ifs, *(classes.pop() if classes else (0.0, 1)), ns)
+
+    def merged_at(self, phi):
+        """Yield (n, union of the projected level-n cover at angle phi) for
+        the requested levels in ascending order, in the centre form."""
+        ifs, theta = self.ifs, self.theta
+        r, (cx, cy), maps = ifs.maps[0].r, ifs.center, ifs.maps
+
+        def direction(key):
+            a = key[0] * phi + key[1] * theta
+            return math.cos(a), math.sin(a)
+
+        comps = {}
+        for key, _ in self.keys[0]:
+            c, s = direction(key)
+            p = np.array([cx * c + cy * s])
+            comps[key] = IntervalSet(p, p, ifs.R0)
+        if 0 in self.ns:
+            yield 0, comps[(1, 0)]
+        r_j = 1.0
+        for j, rows in enumerate(self.keys[1:], start=1):
+            # the merges of one level together hold at most INTERVAL_CAP
+            # intervals, which bounds the components a level stores
+            size = sum(len(comps[child]) for _, children in rows for child in children)
+            if size > INTERVAL_CAP:
+                raise LevelTooLarge(f"level {j} merges {size} intervals, over cap {INTERVAL_CAP}")
+            r_j = r * r_j
+            half = r_j * ifs.R0
+            level = {}
+            for key, children in rows:
+                c, s = direction(key)
+                parts = [comps[child] for child in children]
+                shift = np.repeat([f.tx * c + f.ty * s for f in maps], [len(p) for p in parts])
+                los = np.concatenate([p.los for p in parts])
+                his = np.concatenate([p.his for p in parts])
+                los *= r
+                los += shift
+                his *= r
+                his += shift
+                level[key] = merge_intervals(los, his, half=half)
+            comps = level
+            if j in self.ns:
+                yield j, comps[(1, 0)]
+
+    def lengths_at(self, phi):
+        return {n: merged.total_length for n, merged in self.merged_at(phi)}
+
+
 def level_projection_length(ifs, n, theta, body=None):
     """Total length and merged interval set of the projected level-n cover."""
     sweeper = _LevelSweeper(ifs, body=body)
@@ -174,17 +321,23 @@ class FavardResult:
 
 
 def projection_sweep(ifs, ns, thetas, body=None, workers=None):
-    """Per-theta lengths for each level in ns (ascending).  The result is a
-    deterministic function of (ifs, ns, thetas) regardless of worker count."""
+    """Per-theta lengths for each level in ns (ascending), by the projection
+    recursion where the system is eligible and by the level sweeper
+    otherwise.  The result is a deterministic function of (ifs, ns, thetas)
+    regardless of worker count."""
     ns = sorted(ns)
     thetas = list(thetas)
     workers = workers or default_workers()
-    sweeper = _LevelSweeper(ifs, body=body)
+    recursion = _ProjectionRecursion.of(ifs, ns, body)
     out = {}
     with ExitStack() as stack:
         mapper = map
         if workers > 1 and len(thetas) > 1:
             mapper = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
+        if recursion is not None:
+            rows = list(mapper(recursion.lengths_at, thetas))
+            return {n: np.array([row[n] for row in rows]) for n in ns}
+        sweeper = _LevelSweeper(ifs, body=body)
         for n in ns:
             sweeper.advance_to(n)
             out[n] = np.array(list(mapper(sweeper.length_at, thetas)))
@@ -296,10 +449,11 @@ def bound_curves(B, m, c_low, C_ls, a_ls, grid, A=1.0):
 
 
 def decay_samples(text):
-    """Per-level mean lengths (n, mean) from the text of a sweep CSV, in
-    ascending n.  Blank lines, '#' comments, the 'n,' header and rows whose
-    level or last field does not parse are skipped; with several rows per
-    level the last one is the summary row and is dropped."""
+    """Per-level Favard values (n, pi * mean length) from the text of a sweep
+    CSV, in ascending n, on the scale of ``favard().value``.  Blank lines,
+    '#' comments, the 'n,' header and rows whose level or last field does not
+    parse are skipped; with several rows per level the last one is the
+    summary row and is dropped."""
     by_n = {}
     for line in text.splitlines():
         line = line.strip()
@@ -312,7 +466,7 @@ def decay_samples(text):
             continue
         by_n.setdefault(n, []).append(val)
     return [
-        (n, sum(v[:-1]) / (len(v) - 1) if len(v) > 1 else v[0])
+        (n, math.pi * (sum(v[:-1]) / (len(v) - 1) if len(v) > 1 else v[0]))
         for n, v in sorted(by_n.items())
     ]
 

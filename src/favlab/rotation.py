@@ -96,6 +96,13 @@ def _continued_fraction_convergents(frac, n_max):
     return conv, terminated
 
 
+def _scaled(res, n, d):
+    try:
+        return res * n**d
+    except OverflowError:
+        return math.inf
+
+
 def diophantine_profile(alpha, n_max, d):
     """Continued-fraction convergents of alpha with residual diagnostics.
 
@@ -114,7 +121,9 @@ def diophantine_profile(alpha, n_max, d):
             continue
         res = abs(q * frac - p)
         triples.append((q, p, float(res)))
-    c_hat = min(res * n**d for n, _, res in triples)
+    # n**d beyond the float range counts as +inf; the q = 1 term keeps the
+    # minimum finite
+    c_hat = min(_scaled(res, n, d) for n, _, res in triples)
     # log q_{k+1} / log q_k estimates the exponent only once the denominators
     # have left the single-digit regime
     qs = [n for n, _, _ in triples if n >= 10]

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -90,6 +91,29 @@ def test_favard_csv_deterministic_across_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+def _favard_value(n, angles):
+    r = run_cli("favard", "--ifs", FIG1, "--n", str(n), "--angles", str(angles),
+                env={"FAVLAB_THREADS": "1"})
+    assert r.returncode == 0, r.stderr
+    return float(r.stdout.splitlines()[-1].split(",")[1])
+
+
+def test_favard_recursion_passes_the_cover_cap():
+    # 3^16 cylinders exceed INTERVAL_CAP; the projection recursion merges
+    # only components, so fig1 at n = 16 runs
+    v15, v16 = _favard_value(15, 8), _favard_value(16, 8)
+    assert math.isfinite(v16) and 0.0 < v16 <= v15
+
+
+def test_favard_huge_level_exits_1_promptly():
+    t0 = time.perf_counter()
+    r = run_cli("favard", "--ifs", FIG1, "--n", "100000", "--angles", "8")
+    assert time.perf_counter() - t0 < 30.0  # interpreter start-up included
+    assert r.returncode == 1
+    assert r.stderr.splitlines()[-1].startswith("ERROR level-too-large:")
+    assert r.stdout == ""
+
+
 def test_relclose_roundtrip(tmp_path):
     cert = tmp_path / "cert.json"
     r = run_cli("relclose", "find", "--ifs", FIG1, "--eps", "0.3",
@@ -125,6 +149,14 @@ def test_dioph_output():
     r = run_cli("dioph", "--alpha", "3/7", "--nmax", "1000", "--d", "2")
     assert r.returncode == 1
     assert "ERROR rational-alpha" in r.stderr
+
+
+def test_dioph_overflowing_term_keeps_c_hat_finite():
+    # q^d overflows for every q >= 2; the q = 1 convergent keeps c_hat finite
+    r = run_cli("dioph", "--alpha", "sqrt(2)", "--nmax", "100", "--d", "1e308")
+    assert r.returncode == 0, r.stderr
+    c_hat = float(r.stdout.split()[1])
+    assert c_hat == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-15)
 
 
 def test_count_and_schedule():
@@ -175,7 +207,8 @@ def test_decay_fit_pipeline(tmp_path):
     assert r.returncode == 0
     first = r.stdout.splitlines()[0].split()
     fields = dict(zip(first[::2], first[1::2]))
-    assert float(fields["A_hat"]) == pytest.approx(2.0, abs=1e-6)
+    # the fit reads Favard values, pi times the mean length: only A_hat scales
+    assert float(fields["A_hat"]) == pytest.approx(2.0 * math.pi, abs=1e-6)
     assert float(fields["B_hat"]) == pytest.approx(0.5, abs=1e-6)
 
 

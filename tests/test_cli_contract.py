@@ -224,7 +224,7 @@ def _run(argv):
          "ERROR symbol: symbol 9 outside 1..3"),
         (["count", "removal", "--ifs", FIG1, "--target", "0", "--steps", "1"], 1,
          "ERROR symbol: symbol 0 outside 1..3"),
-        (["dioph", "--alpha", "sqrt(2)", "--nmax", "100", "--d", "1e308"], 1, "ERROR overflow:"),
+        (["dioph", "--alpha", "sqrt(2)", "--nmax", "100", "--d", "inf"], 2, "--d: must be finite"),
         (["dioph", "--alpha", "sqrt(2)", "--nmax", "1", "--d", "2"], 2, "--nmax: must be >= 2"),
         # the level cap is checked without forming m^n
         (["favard", "--ifs", FIG1, "--n", str(10**30), "--angles", "4"], 1,

@@ -13,7 +13,7 @@ import pytest
 
 from favlab.errors import ConfigError
 from favlab import ifs as ifs_mod
-from favlab.favard import _LevelSweeper, decay_samples
+from favlab.favard import _LevelSweeper, decay_samples, favard
 from favlab.ifs import (
     IFS,
     CylinderBatch,
@@ -271,12 +271,29 @@ n/a,0.1,junk
 
 
 def test_decay_samples_skip_comments_headers_junk_and_summaries():
+    # Favard values: pi times the mean length, the scale of favard().value
     assert decay_samples(DECAY_CSV) == [
-        (3, (1.00 + 0.98) / 2),
-        (4, (0.90 + 0.88) / 2),
-        (5, (0.84 + 0.82) / 2),
-        (6, 0.80),
+        (3, math.pi * ((1.00 + 0.98) / 2)),
+        (4, math.pi * ((0.90 + 0.88) / 2)),
+        (5, math.pi * ((0.84 + 0.82) / 2)),
+        (6, math.pi * 0.80),
     ]
+
+
+def test_decay_fit_of_a_sweep_csv_matches_favard_values(tmp_path):
+    # the fit of a CSV written by favlab favard sees favard().value
+    csv = tmp_path / "sweep.csv"
+    fig1 = IFS.from_json(str(ROOT / "configs" / "fig1.json"))
+    rows = ["n,theta,length"]
+    values = []
+    for n in (3, 4, 5, 6):
+        res = favard(fig1, n, 8)
+        rows += [f"{n},{t!r},{v!r}" for t, v in zip(res.thetas.tolist(), res.lengths.tolist())]
+        rows.append(f"{n},{res.value!r},{res.max_over_theta!r}")
+        values.append((n, res.value))
+    csv.write_text("\n".join(rows) + "\n")
+    for (n, got), (_, want) in zip(decay_samples(csv.read_text()), values):
+        assert got == pytest.approx(want, rel=1e-15)
 
 
 def test_decay_fit_cli_and_script_agree(tmp_path):

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from favlab.errors import DegenerateFit, NonHomogeneous, RhoTooSmall
+from favlab.errors import DegenerateFit, LevelTooLarge, NonHomogeneous, RhoTooSmall
 from favlab.favard import (
     DecayFit,
     FavardSchedule,
+    IntervalSet,
     bound_constant,
     bound_curves,
     favard,
@@ -143,6 +144,31 @@ def test_equal_width_merge_bit_identical(batch):
     oracle = _merge_oracle(centers - half, centers + half)
     _assert_same_bits(merge_intervals(centers.copy(), half=half), oracle)
     _assert_same_bits(merge_intervals(centers - half, centers + half), oracle)
+
+
+@st.composite
+def centre_batches(draw):
+    """Centre pairs lo <= hi on a grid of pitch 2h (exact duplicates,
+    touching and nearly touching neighbours) mixed with arbitrary floats,
+    and the half-width h."""
+    half = draw(st.sampled_from([0.0, 0.5, 0.25, 1 / 3, 0.1, 1e-9, 3.0]))
+    grid = st.integers(-12, 12).map(lambda k: k * 2.0 * half)
+    point = st.one_of(grid, grid, st.floats(-10.0, 10.0))
+    pairs = draw(st.lists(st.tuples(point, point), max_size=60))
+    los = np.array([min(p) for p in pairs], dtype=float)
+    his = np.array([max(p) for p in pairs], dtype=float)
+    return los, his, half
+
+
+@settings(max_examples=300, deadline=None)
+@given(centre_batches())
+def test_centre_merge_bit_identical_to_endpoint_oracle(batch):
+    los, his, half = batch
+    merged = merge_intervals(los.copy(), his.copy(), half=half)
+    assert merged.half == half
+    _assert_same_bits(
+        IntervalSet(*merged.endpoints()), _merge_oracle(los - half, his + half)
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -348,20 +374,24 @@ def test_sweep_deterministic_across_workers(ifs):
 
 def _record_merges(monkeypatch):
     """Route favard's union through a recorder of which form each call
-    used: True for the equal-width form, False for the general one."""
+    used: "centre" for the projection recursion's, "equal-width" or
+    "general"."""
     favard_mod = importlib.import_module("favlab.favard")
     forms = []
     original = favard_mod.merge_intervals
 
     def recorder(*args, **kwargs):
-        forms.append(kwargs.get("half") is not None)
+        if kwargs.get("half") is None:
+            forms.append("general")
+        else:
+            forms.append("centre" if len(args) > 1 else "equal-width")
         return original(*args, **kwargs)
 
     monkeypatch.setattr(favard_mod, "merge_intervals", recorder)
     return forms
 
 
-def test_fig1_sweep_takes_equal_width_path(ifs, monkeypatch):
+def test_fig1_sweep_takes_recursive_path(ifs, monkeypatch):
     from favlab.favard import _LevelSweeper
 
     thetas = [(j + 0.5) * math.pi / 16 for j in range(16)]
@@ -373,10 +403,10 @@ def test_fig1_sweep_takes_equal_width_path(ifs, monkeypatch):
             _assert_same_bits(sweeper.merged_at(theta), oracle)
     forms = _record_merges(monkeypatch)
     projection_sweep(ifs, [2, 5], thetas, workers=1)
-    assert forms and all(forms)
+    assert forms and set(forms) == {"centre"}
 
 
-def test_reflected_homogeneous_disk_sweep_takes_equal_width_path(monkeypatch):
+def test_reflected_homogeneous_disk_sweep_takes_recursive_path(monkeypatch):
     reflected = IFS.from_maps(
         [
             Similitude(r=0.4, theta=1.0, orient=-1, tx=0.0, ty=0.0),
@@ -385,7 +415,24 @@ def test_reflected_homogeneous_disk_sweep_takes_equal_width_path(monkeypatch):
     )
     forms = _record_merges(monkeypatch)
     projection_sweep(reflected, [1, 4], [0.3, 1.9], workers=1)
-    assert forms and all(forms)
+    assert forms and set(forms) == {"centre"}
+
+
+@pytest.mark.parametrize(
+    "theta, orient", [(2.0, 1), (1.0, -1)], ids=["two-rotations", "rotation-and-reflection"]
+)
+def test_two_class_homogeneous_disk_sweep_takes_equal_width_path(theta, orient, monkeypatch):
+    # beside a rotation by 1, a second (theta, orient) class: the recursion
+    # does not serve the system
+    two_classes = IFS.from_maps(
+        [
+            Similitude(r=0.4, theta=1.0, orient=1, tx=0.0, ty=0.0),
+            Similitude(r=0.4, theta=theta, orient=orient, tx=0.6, ty=0.1),
+        ]
+    )
+    forms = _record_merges(monkeypatch)
+    projection_sweep(two_classes, [1, 4], [0.3, 1.9], workers=1)
+    assert forms == ["equal-width"] * 4
 
 
 def test_hull_and_mixed_ratio_sweeps_take_general_path(ifs, monkeypatch):
@@ -398,7 +445,153 @@ def test_hull_and_mixed_ratio_sweeps_take_general_path(ifs, monkeypatch):
     forms = _record_merges(monkeypatch)
     projection_sweep(ifs, [1, 4], [0.3, 1.9], body=attractor_hull(ifs), workers=1)
     projection_sweep(mixed, [1, 4], [0.3, 1.9], workers=1)
-    assert len(forms) == 8 and not any(forms)
+    assert forms == ["general"] * 8
+
+
+# ------------------------------------------------------------ projection recursion
+
+
+FAVARD = importlib.import_module("favlab.favard")
+
+
+@st.composite
+def one_class_systems(draw):
+    """Homogeneous systems of 2..4 maps, each a pure homothety or a member of
+    one (theta, orient) class, a rotation or a reflection, moved so that the
+    enclosing disk is centred at the origin.  Lengths do not depend on where
+    the set lies, but the rounding of a centre projection grows with its
+    distance from the origin; centred, it stays a few ulps of R0, and the
+    ratio stays >= 0.4, so that the level-8 half-width r^8 R0 is no smaller
+    than 6.5e-4 R0 and those ulps stay below 1e-12 of a length."""
+    m = draw(st.integers(2, 4))
+    r = draw(st.floats(0.4, 0.65))
+    theta = draw(st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+    orient = draw(st.sampled_from([1, -1]))
+    coord = st.floats(-1.0, 1.0)
+    maps = []
+    for i in range(m):
+        in_class = i == 0 or draw(st.booleans())
+        maps.append(
+            Similitude(
+                r=r,
+                theta=theta if in_class else 0.0,
+                orient=orient if in_class else 1,
+                tx=draw(coord),
+                ty=draw(coord),
+            )
+        )
+    # conjugate by the translation to the centre c: t_i -> F_i(c) - c
+    cx, cy = IFS.from_maps(maps).center
+    return IFS.from_maps(
+        [
+            Similitude(r=f.r, theta=f.theta, orient=f.orient,
+                       tx=f.apply((cx, cy))[0] - cx, ty=f.apply((cx, cy))[1] - cy)
+            for f in maps
+        ]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_class_systems(), st.lists(st.floats(0.0, math.pi), min_size=1, max_size=3))
+def test_recursion_matches_level_sweeper(system, thetas):
+    from favlab.favard import _LevelSweeper
+
+    levels = range(0, 9)
+    recursion = FAVARD._ProjectionRecursion.of(system, levels, None)
+    assert recursion is not None
+    merged = [dict(recursion.merged_at(theta)) for theta in thetas]
+    sweeper = _LevelSweeper(system)
+    for n in levels:
+        sweeper.advance_to(n)
+        for theta, rec in zip(thetas, merged):
+            oracle = sweeper.merged_at(theta)
+            assert len(rec[n]) == len(oracle), (n, theta)
+            assert abs(rec[n].total_length - oracle.total_length) <= 1e-12 * oracle.total_length
+
+
+def test_fig1_recursion_matches_live_sweeper(ifs):
+    from favlab.favard import _LevelSweeper
+
+    thetas = [(j + 0.5) * math.pi / 64 for j in range(64)]
+    levels = list(range(2, 13))
+    lengths = projection_sweep(ifs, levels, thetas)
+    sweeper = _LevelSweeper(ifs)
+    for n in levels:
+        sweeper.advance_to(n)
+        live = np.array([sweeper.length_at(theta) for theta in thetas])
+        assert np.all(np.abs(lengths[n] - live) <= 1e-12 * live), n
+
+
+def test_recursion_eligibility(ifs):
+    of = FAVARD._ProjectionRecursion.of
+    homotheties = corner_ifs()
+    mixed = IFS.from_maps(
+        [
+            Similitude(r=0.5, theta=0.0, orient=1, tx=0.0, ty=0.0),
+            Similitude(r=0.25, theta=0.0, orient=1, tx=0.5, ty=0.0),
+        ]
+    )
+    assert of(ifs, [3], None) is not None
+    assert of(homotheties, [3], None) is not None
+    assert of(ifs, [3], attractor_hull(ifs)) is None
+    assert of(mixed, [3], None) is None
+    assert of(ifs, [], None) is None
+    # fig1: one rotating map, so level j of a pass to 6 reads 7 - j keys
+    assert [len(rows) for rows in of(ifs, [6], None).keys] == [7, 6, 5, 4, 3, 2, 1]
+    # a reflection pairs each key with its mirror: two keys per level
+    reflected = IFS.from_maps(
+        [
+            Similitude(r=0.4, theta=1.0, orient=-1, tx=0.0, ty=0.0),
+            Similitude(r=0.4, theta=0.0, orient=1, tx=0.6, ty=0.1),
+        ]
+    )
+    assert [len(rows) for rows in of(reflected, [6], None).keys] == [2] * 6 + [1]
+
+
+@pytest.mark.parametrize("system", ["fig1", "reflected"])
+def test_recursive_sweep_bit_identical_across_threads(ifs, system, monkeypatch):
+    if system == "reflected":
+        ifs = IFS.from_maps(
+            [
+                Similitude(r=0.45, theta=2.2, orient=-1, tx=0.1, ty=0.0),
+                Similitude(r=0.45, theta=0.0, orient=1, tx=0.6, ty=0.2),
+                Similitude(r=0.45, theta=2.2, orient=-1, tx=0.3, ty=0.7),
+            ]
+        )
+    thetas = [(j + 0.5) * math.pi / 12 for j in range(12)]
+    levels = list(range(0, 10))
+    forms = _record_merges(monkeypatch)
+    runs = []
+    for workers in ("1", "2", "4"):
+        monkeypatch.setenv("FAVLAB_THREADS", workers)
+        runs.append(projection_sweep(ifs, levels, thetas))
+    assert forms and set(forms) == {"centre"}
+    for n in levels:
+        assert runs[0][n].tobytes() == runs[1][n].tobytes() == runs[2][n].tobytes()
+
+
+def test_recursion_caps_merges_before_any_work(ifs, monkeypatch):
+    forms = _record_merges(monkeypatch)
+    with pytest.raises(LevelTooLarge, match="angle-key merges"):
+        projection_sweep(ifs, [100_000], [0.3], workers=1)
+    with pytest.raises(LevelTooLarge, match="angle-key merges"):
+        projection_sweep(corner_ifs(), [10**30], [0.3], workers=1)
+    assert forms == []
+    # fig1's pass to level n merges n (n + 1) / 2 keys per angle
+    monkeypatch.setattr(FAVARD, "MERGE_CAP", 15)
+    projection_sweep(ifs, [5], [0.3], workers=1)
+    with pytest.raises(LevelTooLarge):
+        projection_sweep(ifs, [6], [0.3], workers=1)
+
+
+def test_recursion_caps_level_merges_not_the_cover(ifs, monkeypatch):
+    # 3^6 = 729 cylinders pass a cap of 100: only merged components enter
+    # the merges, which take in at most 52 intervals per level in the pass
+    # to level 6 at theta = 0.7, and 126 at level 7 of the pass to 7
+    monkeypatch.setattr(FAVARD, "INTERVAL_CAP", 100)
+    assert projection_sweep(ifs, [6], [0.7], workers=1)[6][0] > 0.0
+    with pytest.raises(LevelTooLarge, match="over cap 100"):
+        projection_sweep(ifs, [7], [0.7], workers=1)
 
 
 def _seeded_reflected_system(seed):
