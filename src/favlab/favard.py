@@ -19,12 +19,8 @@ n = 18 and stops at n = 19.
 
 Every other system takes the level sweeper: the level-n cover is one
 ``CylinderBatch``, expanded once per level, and each angle costs one
-projection and one sort-and-sweep union, at most INTERVAL_CAP = 2^24
-intervals.  When the body is the enclosing disk and every level-n ratio is
-exactly equal, all intervals share one width and the union sorts the
-projected centres in place, with no argsort, gather or running maximum;
-hull bodies and mixed ratios take the general argsort union.  Both give the
-same bits.  A hull body's intervals come from ``HullBody.support_range``,
+projection and one union of its interval endpoints, at most INTERVAL_CAP =
+2^24 intervals.  A hull body's intervals come from ``HullBody.support_range``,
 which looks up the few vertices that can be extreme in each direction
 instead of projecting all V vertices of every cylinder; its endpoints are
 bit-identical to the dense N x V form.
@@ -88,40 +84,23 @@ class IntervalSet:
         return len(self.los)
 
 
-def merge_intervals(los, his=None, *, half=None):
-    """Sort-and-sweep union of closed intervals; touching ones coalesce.
+def merge_intervals(los, his, half=0.0):
+    """Sort-and-sweep union of the closed intervals [lo - half, hi + half],
+    lo <= hi and half >= 0; touching ones coalesce.
 
-    ``merge_intervals(centers, half=h)`` is the equal-width form: it unions
-    the intervals [c - h, c + h], h >= 0, and sorts ``centers`` in place.
-    Rounding of c - h and c + h is monotone in c, so one sort orders both
-    endpoint arrays and the running maximum of the right ends is the right
-    ends themselves.  The result is bit-identical to the general form on
-    the same intervals: ties in the left ends never separate components.
-
-    ``merge_intervals(los, his, half=h)`` is the centre form of the
-    projection recursion: it unions the intervals [lo - h, hi + h], lo <= hi,
-    and returns each component as its least lo and greatest hi, with
-    ``half=h``, so endpoints are rounded only to compare, as c - h and
-    c + h.  It sorts ``los`` and ``his`` in place, each on its own: with
-    lo <= hi, the first k left ends in order are followed by a gap exactly
-    when the k smallest right ends all lie before the next left end, and
-    then those right ends are the first k intervals' own, so no argsort,
-    gather or running maximum is needed.
+    It sorts ``los`` and ``his`` in place, each on its own, and returns each
+    component as its least lo and greatest hi with the given ``half``: the
+    endpoints themselves when half is 0, and for the projection recursion's
+    centre form the extreme centres, rounded to endpoints only to compare,
+    as c - h and c + h.  With lo <= hi, a gap follows the k-th left end in
+    order exactly when the k-th smallest right end lies before the next left
+    end; then the k smallest right ends are the first k intervals' own, and
+    the k-th is their greatest, so no argsort, gather or running maximum is
+    needed.
     """
-    if his is None:
-        centers = np.asarray(los, dtype=float)
-        centers.sort()
-        lo, reach, half = centers - half, centers + half, 0.0
-    elif half is None:
-        los = np.asarray(los, dtype=float)
-        order = np.argsort(los)
-        lo = los[order]
-        reach = np.maximum.accumulate(np.asarray(his, dtype=float)[order])
-        half = 0.0
-    else:
-        lo, reach = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
-        lo.sort()
-        reach.sort()
+    lo, reach = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
+    lo.sort()
+    reach.sort()
     if len(lo) == 0:
         return IntervalSet(lo, reach, half)
     gap = (lo[1:] - half > reach[:-1] + half) if half else (lo[1:] > reach[:-1])
@@ -152,7 +131,6 @@ class _LevelSweeper:
         self.n = 0
         self._disk = isinstance(self.body, DiskBody)
         self.cover = CylinderBatch.at(self.body.center if self._disk else (0.0, 0.0))
-        self._half = self._common_half()
 
     def advance_to(self, n):
         if exceeds(self.ifs.m, n, INTERVAL_CAP):
@@ -160,16 +138,6 @@ class _LevelSweeper:
         while self.n < n:
             self.cover = self.cover.children(self.ifs.maps)
             self.n += 1
-            self._half = self._common_half()
-
-    def _common_half(self):
-        """The one exact half-width of every interval, which selects the
-        equal-width union, or None (mixed ratios; hull widths depend on
-        orientation and angle)."""
-        r = self.cover.r
-        if self._disk and np.all(r == r[0]):
-            return float(r[0]) * self.body.radius
-        return None
 
     def intervals_at(self, theta):
         cover = self.cover
@@ -182,8 +150,6 @@ class _LevelSweeper:
 
     def merged_at(self, theta):
         """Union of the projected level-n intervals at angle theta."""
-        if self._half is not None:
-            return merge_intervals(self.cover.project(theta), half=self._half)
         return merge_intervals(*self.intervals_at(theta))
 
     def length_at(self, theta):

@@ -156,7 +156,11 @@ def check_relclose(ifs, u, v, eps, theta, omega):
         slack_ii = -math.inf
     else:
         slack_ii = eps - circ_dist(gu.theta, gv.theta)
-    thresh = eps * ifs.D * math.exp(min(gu.log_r, gv.log_r))
+    r = math.exp(min(gu.log_r, gv.log_r))
+    thresh = eps * ifs.D * r
+    if not math.isfinite(thresh):
+        # eps * D alone can overflow where the threshold itself is finite
+        thresh = eps * (ifs.D * r)
     if not math.isfinite(thresh):
         raise NumericOverflow(f"threshold eps*D*r at eps={eps} exceeds the float range")
     slack_iii = -math.inf

@@ -141,6 +141,23 @@ def test_relclose_power_and_density(tmp_path):
     assert float(fields["ratio"]) > 0.0
 
 
+@pytest.mark.parametrize("eps", ["1.5", "3"])
+def test_relclose_near_float_limit_diameter(tmp_path, eps):
+    # D = 1.53e308: eps * D overflows, but the threshold eps * D * r_u is finite
+    cfg = tmp_path / "ifs.json"
+    cfg.write_text(json.dumps({"maps": [
+        {"r": 0.5, "theta": 0.0, "tx": 1e307, "ty": 1e307},
+        {"r": 0.5, "theta_over_pi": 0.7, "tx": 0.0, "ty": 0.0},
+    ]}))
+    cert = tmp_path / "cert.json"
+    r = run_cli("relclose", "find", "--ifs", str(cfg), "--eps", eps, "--out", str(cert))
+    assert r.returncode == 0, r.stderr
+    data = json.loads(cert.read_text())
+    assert len(data["words"]) == 2
+    slacks = [s[k] for s in data["slacks"] for k in ("slack_i", "slack_ii", "slack_iii")]
+    assert slacks and all(s > 0.0 for s in slacks)
+
+
 def test_dioph_output():
     r = run_cli("dioph", "--alpha", "(1+sqrt(5))/2", "--nmax", "1000",
                 "--d", "2")

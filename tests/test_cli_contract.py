@@ -93,6 +93,11 @@ def files(tmp_path_factory):
     (root / "cert.json").write_text(json.dumps(cert.to_dict()))
     rows = ["n,theta,length"] + [f"{n},0.0,{1.3 / n ** 0.4!r}" for n in range(2, 9)]
     (root / "series.csv").write_text("\n".join(rows) + "\n")
+    # diameter bound D = 1.53e308, near the float limit
+    (root / "near_limit.json").write_text(json.dumps({"maps": [
+        {"r": 0.5, "theta": 0.0, "tx": 1e307, "ty": 1e307},
+        {"r": 0.5, "theta_over_pi": 0.7, "tx": 0.0, "ty": 0.0},
+    ]}))
     return root
 
 
@@ -214,8 +219,9 @@ def _run(argv):
         (["decay", "fit", "--csv", "{series}", "--a-ls", "-1", "--C-ls", "1e308"], 1,
          "ERROR overflow: log_star"),
         (["relclose", "find", "--ifs", FIG1, "--eps", "inf"], 2, "--eps: must be finite"),
-        (["relclose", "power", "--ifs", FIG1, "--u", "2", "--v", "3", "--n", "2",
-          "--eps", "1e308"], 1, "ERROR overflow: threshold"),
+        # eps * (D * r) overflows too; on fig1, D * r < 1 keeps it finite
+        (["relclose", "find", "--ifs", "{near_limit}", "--eps", "1e308"], 1,
+         "ERROR overflow: threshold"),
         (["count", "avoid", "--m", "2", "--s", "64", "--blocks", "40"], 1, "ERROR overflow:"),
         # refused from the bit count before the integer is formed
         (["count", "avoid", "--m", "2", "--s", "64", "--blocks", str(10**30)], 1,
@@ -233,7 +239,8 @@ def _run(argv):
     ],
 )
 def test_boundary_inputs(files, argv, code, last):
-    got, stdout, line = _run([a.format(series=files / "series.csv") for a in argv])
+    paths = {"series": files / "series.csv", "near_limit": files / "near_limit.json"}
+    got, stdout, line = _run([a.format(**paths) for a in argv])
     assert (got, stdout) == (code, "")
     assert last in line
 

@@ -90,7 +90,7 @@ def _raster_bracket(los, his, components, cells=2**20):
 def test_merge_matches_rasterization(batch):
     los = np.array([a for a, _ in batch])
     his = np.array([a + w for a, w in batch])
-    merged = merge_intervals(los, his)
+    merged = merge_intervals(los.copy(), his.copy())
     lo_bound, hi_bound = _raster_bracket(los, his, len(merged))
     assert lo_bound - 1e-9 <= merged.total_length <= hi_bound + 1e-9
     ivs = merged.intervals
@@ -99,8 +99,8 @@ def test_merge_matches_rasterization(batch):
 
 
 def _merge_oracle(los, his):
-    """The union as it was computed before the equal-width form existed:
-    stable argsort, gather, running maximum."""
+    """The union as an argsort sweep computes it: stable argsort, gather,
+    running maximum."""
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
     if len(los) == 0:
@@ -142,7 +142,6 @@ def equal_width_batches(draw):
 def test_equal_width_merge_bit_identical(batch):
     centers, half = batch
     oracle = _merge_oracle(centers - half, centers + half)
-    _assert_same_bits(merge_intervals(centers.copy(), half=half), oracle)
     _assert_same_bits(merge_intervals(centers - half, centers + half), oracle)
 
 
@@ -185,14 +184,19 @@ def test_centre_merge_bit_identical_to_endpoint_oracle(batch):
 def test_merge_matches_stable_oracle(batch):
     los = np.array([a for a, _ in batch], dtype=float)
     his = np.array([a + w for a, w in batch], dtype=float)
-    _assert_same_bits(merge_intervals(los, his), _merge_oracle(los, his))
+    oracle = _merge_oracle(los, his)
+    _assert_same_bits(merge_intervals(los, his), oracle)
 
 
-def test_equal_width_sorts_centers_in_place():
-    centers = np.array([3.0, -1.0, 3.0, 0.5])
-    merged = merge_intervals(centers, half=0.25)
-    assert centers.tolist() == [-1.0, 0.5, 3.0, 3.0]
-    assert merged.intervals == [(-1.25, -0.75), (0.25, 0.75), (2.75, 3.25)]
+def test_merge_sorts_both_ends_in_place():
+    # unequal widths: each end array is sorted on its own, so right ends
+    # no longer sit beside their own left ends
+    los = np.array([3.0, -1.0, 2.5, 0.5])
+    his = np.array([3.5, 2.0, 2.75, 0.75])
+    merged = merge_intervals(los, his)
+    assert los.tolist() == [-1.0, 0.5, 2.5, 3.0]
+    assert his.tolist() == [0.75, 2.0, 2.75, 3.5]
+    assert merged.intervals == [(-1.0, 2.0), (2.5, 2.75), (3.0, 3.5)]
 
 
 def test_merge_touching_coalesce():
@@ -373,19 +377,15 @@ def test_sweep_deterministic_across_workers(ifs):
 
 
 def _record_merges(monkeypatch):
-    """Route favard's union through a recorder of which form each call
-    used: "centre" for the projection recursion's, "equal-width" or
-    "general"."""
+    """Route favard's union through a recorder of the form of each call:
+    "centre" (half > 0, the projection recursion's) or "endpoint" (half 0)."""
     favard_mod = importlib.import_module("favlab.favard")
     forms = []
     original = favard_mod.merge_intervals
 
-    def recorder(*args, **kwargs):
-        if kwargs.get("half") is None:
-            forms.append("general")
-        else:
-            forms.append("centre" if len(args) > 1 else "equal-width")
-        return original(*args, **kwargs)
+    def recorder(los, his, half=0.0):
+        forms.append("centre" if half > 0.0 else "endpoint")
+        return original(los, his, half)
 
     monkeypatch.setattr(favard_mod, "merge_intervals", recorder)
     return forms
@@ -418,21 +418,41 @@ def test_reflected_homogeneous_disk_sweep_takes_recursive_path(monkeypatch):
     assert forms and set(forms) == {"centre"}
 
 
+def _assert_endpoint_sweeps(cases, monkeypatch):
+    """Sweep each (system, body) at levels 1 and 4 and two angles: the
+    recursion does not serve these systems, so every merge is an endpoint
+    one, bit-identical to `_merge_oracle`, and each length is the oracle's."""
+    from favlab.favard import _LevelSweeper
+
+    thetas = [0.3, 1.9]
+    forms = _record_merges(monkeypatch)
+    for system, body in cases:
+        lengths = projection_sweep(system, [1, 4], thetas, body=body, workers=1)
+        sweeper = _LevelSweeper(system, body=body)
+        for n in (1, 4):
+            sweeper.advance_to(n)
+            for theta, length in zip(thetas, lengths[n]):
+                oracle = _merge_oracle(*sweeper.intervals_at(theta))
+                _assert_same_bits(sweeper.merged_at(theta), oracle)
+                assert length == float((oracle[1] - oracle[0]).sum())
+    assert forms == ["endpoint"] * (2 * 2 * 2 * len(cases))
+
+
+# The next two tests keep the names they had when homogeneous disk covers
+# and hull or mixed-ratio covers took separate union forms; both now take
+# the one endpoint form.
 @pytest.mark.parametrize(
     "theta, orient", [(2.0, 1), (1.0, -1)], ids=["two-rotations", "rotation-and-reflection"]
 )
 def test_two_class_homogeneous_disk_sweep_takes_equal_width_path(theta, orient, monkeypatch):
-    # beside a rotation by 1, a second (theta, orient) class: the recursion
-    # does not serve the system
+    # beside a rotation by 1, a second (theta, orient) class
     two_classes = IFS.from_maps(
         [
             Similitude(r=0.4, theta=1.0, orient=1, tx=0.0, ty=0.0),
             Similitude(r=0.4, theta=theta, orient=orient, tx=0.6, ty=0.1),
         ]
     )
-    forms = _record_merges(monkeypatch)
-    projection_sweep(two_classes, [1, 4], [0.3, 1.9], workers=1)
-    assert forms == ["equal-width"] * 4
+    _assert_endpoint_sweeps([(two_classes, None)], monkeypatch)
 
 
 def test_hull_and_mixed_ratio_sweeps_take_general_path(ifs, monkeypatch):
@@ -442,10 +462,7 @@ def test_hull_and_mixed_ratio_sweeps_take_general_path(ifs, monkeypatch):
             Similitude(r=0.25, theta=0.3, orient=1, tx=0.5, ty=0.0),
         ]
     )
-    forms = _record_merges(monkeypatch)
-    projection_sweep(ifs, [1, 4], [0.3, 1.9], body=attractor_hull(ifs), workers=1)
-    projection_sweep(mixed, [1, 4], [0.3, 1.9], workers=1)
-    assert forms == ["general"] * 8
+    _assert_endpoint_sweeps([(ifs, attractor_hull(ifs)), (mixed, None)], monkeypatch)
 
 
 # ------------------------------------------------------------ projection recursion
