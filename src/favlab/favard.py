@@ -12,9 +12,14 @@ P_j(phi) = U_i r P_{j-1}(o_i (phi - theta_i)) + <e_phi, t_i>, and only
 merged components pass from one level to the next; no cover is built.  The
 directions a level needs are angle keys (s, k), the angle s phi + k theta,
 at most n - j + 1 of them at level j of a pass to level n, and that one pass
-per angle yields every requested level.  Its depth is bounded by MERGE_CAP
+yields every requested level.  One level step serves a block of angles and
+every key of the level: each (angle, key) row gathers its children's rows,
+padded with +inf, and one row-wise ``merge_intervals`` call merges them
+all.  A block starts as all angles and halves, down to one angle, before any
+step whose padded intake would pass BLOCK_CAP; a one-angle block past it
+merges its rows in groups under the cap.  Its depth is bounded by MERGE_CAP
 (level-key merges per angle, checked before any work) and by INTERVAL_CAP
-on the intervals one level's merges take in, not by m^n: fig1 runs to
+on the intervals one angle's level takes in, not by m^n: fig1 runs to
 n = 18 and stops at n = 19.
 
 Every other system takes the level sweeper: the level-n cover is one
@@ -25,6 +30,11 @@ which looks up the few vertices that can be extreme in each direction
 instead of projecting all V vertices of every cylinder; its endpoints are
 bit-identical to the dense N x V form.
 
+FAVLAB_THREADS (default min(4, CPUs)) sets the worker threads.  The sweeper
+maps its angles over that many; the recursion runs its first block in the
+calling thread and, once that block has split, up to that many blocks at a
+time, so a sweep that never splits starts no thread.
+
 The recursion's lengths differ from the sweeper's in the last bits (a
 centre projection rounds differently from projecting each cylinder; on
 fig1 at n <= 12 by at most 6.2e-14 relative), and both are bit-identical
@@ -34,7 +44,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import ExitStack
 from dataclasses import dataclass
 
@@ -52,6 +62,7 @@ from .ifs import CylinderBatch, DiskBody, exceeds
 
 INTERVAL_CAP = 2**24  # projected intervals of one level, swept or recursive
 MERGE_CAP = 4096  # (level, angle key) merges per angle on the recursive path
+BLOCK_CAP = 2**16  # padded intervals one recursive level step takes in
 RHO_CAP_LEVEL = 600  # r_min^level floor for the neighborhood sweep
 
 
@@ -59,7 +70,8 @@ RHO_CAP_LEVEL = 600  # r_min^level floor for the neighborhood sweep
 class IntervalSet:
     """Disjoint closed intervals [lo - half, hi + half] in ascending order:
     endpoints when half is 0, the extreme centres of equal-width intervals
-    otherwise."""
+    otherwise.  A row-wise merge returns 2-D ``los`` and ``his``, one such
+    set per row, padded with +inf."""
 
     los: np.ndarray
     his: np.ndarray
@@ -97,16 +109,33 @@ def merge_intervals(los, his, half=0.0):
     end; then the k smallest right ends are the first k intervals' own, and
     the k-th is their greatest, so no argsort, gather or running maximum is
     needed.
+
+    Given 2-D (rows, W) arrays padded with +inf, it merges each row on its
+    own and returns 2-D components, each row's in ascending order and then
+    +inf.  The padding sorts last and forms a row's last component, which
+    starts at +inf and so reads as padding again: every +inf left end is
+    padding, and real ones must be finite.
     """
     lo, reach = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
-    lo.sort()
-    reach.sort()
-    if len(lo) == 0:
+    lo.sort(axis=-1)
+    reach.sort(axis=-1)
+    if lo.shape[-1] == 0:
         return IntervalSet(lo, reach, half)
-    gap = (lo[1:] - half > reach[:-1] + half) if half else (lo[1:] > reach[:-1])
-    idx = np.flatnonzero(gap) + 1
-    starts = np.concatenate((lo[:1], lo[idx]))
-    ends = np.concatenate((reach[idx - 1], reach[-1:]))
+    gap = (lo[..., 1:] - half > reach[..., :-1] + half) if half else (lo[..., 1:] > reach[..., :-1])
+    if lo.ndim == 1:
+        idx = np.flatnonzero(gap) + 1
+        starts = np.concatenate((lo[:1], lo[idx]))
+        ends = np.concatenate((reach[idx - 1], reach[-1:]))
+        return IntervalSet(starts, ends, half)
+    # a row's components start at its first left end and after each gap, and
+    # end at each gap and at its last right end
+    rows, gaps = len(lo), np.count_nonzero(gap, axis=1)
+    filled = np.arange(gaps.max()) < gaps[:, None]
+    starts, ends = np.full((rows, len(filled[0]) + 1), np.inf), np.full((rows, len(filled[0]) + 1), np.inf)
+    starts[:, 0] = lo[:, 0]
+    starts[:, 1:][filled] = lo[:, 1:][gap]
+    ends[:, :-1][filled] = reach[:, :-1][gap]
+    ends[np.arange(rows), gaps] = reach[:, -1]
     return IntervalSet(starts, ends, half)
 
 
@@ -156,6 +185,49 @@ class _LevelSweeper:
         return self.merged_at(theta).total_length
 
 
+@dataclass
+class _Block:
+    """Angles start:stop of a recursive sweep at level j: one row per (angle,
+    key), angle-major, holding that direction's merged level-j components
+    padded with +inf, and each row's component count."""
+
+    start: int
+    stop: int
+    j: int
+    comps: IntervalSet
+    count: np.ndarray
+
+    def halves(self):
+        """The block's two halves by angle, each a copy trimmed to its
+        longest row, so that the block's own rows can be freed."""
+        mid = (self.start + self.stop) // 2
+        cut = (mid - self.start) * (len(self.count) // (self.stop - self.start))
+        parts = []
+        for start, stop, rows in ((self.start, mid, slice(0, cut)), (mid, self.stop, slice(cut, None))):
+            count = self.count[rows]
+            width = count.max()
+            comps = IntervalSet(
+                self.comps.los[rows, :width].copy(), self.comps.his[rows, :width].copy(), self.comps.half
+            )
+            parts.append(_Block(start, stop, self.j, comps, count))
+        return parts
+
+
+def _stack(parts):
+    """The rows of padded IntervalSets, in order, padded to the widest; each
+    part is copied into untouched memory and dropped from ``parts``, so that
+    the two need not be resident at once."""
+    rows, width = sum(len(part.los) for part in parts), max(part.los.shape[1] for part in parts)
+    los, his, half, row = np.empty((rows, width)), np.empty((rows, width)), parts[0].half, 0
+    while parts:
+        part = parts.pop(0)
+        for ends, part_ends in ((los, part.los), (his, part.his)):
+            ends[row : row + len(part_ends), : part_ends.shape[1]] = part_ends
+            ends[row : row + len(part_ends), part_ends.shape[1] :] = np.inf
+        row += len(part.los)
+    return IntervalSet(los, his, half)
+
+
 class _ProjectionRecursion:
     """Projected lengths of the disk cover of a one-rotation-class system by
     P_j(phi) = U_i r P_{j-1}(o_i (phi - theta_i)) + <e_phi, t_i>, passing only
@@ -164,13 +236,16 @@ class _ProjectionRecursion:
     A direction is an angle key (s, k), the angle s phi + k theta of the
     class's (theta, o): the class map sends the key to (o s, o (k - 1)) and a
     homothety keeps it.  ``keys[j]`` holds, per key of level j, the key each
-    map reads at level j - 1; the pass to the top level needs (1, 0) there
-    and at every requested level.
+    map reads at level j - 1, and ``children[j]`` the row of that key in
+    level j - 1; the pass to the top level needs (1, 0) there and at every
+    requested level.
 
     A component is its extreme centre projections; its endpoints are formed
     only to merge and to measure, as c - h and c + h with the level sweeper's
-    own half-width h = r_j R0, r_j built as ``CylinderBatch.children`` builds
-    it."""
+    own half-width h = r_j R0 (``half[j]``), r_j built as
+    ``CylinderBatch.children`` builds it.  One level step serves a block of angles and every key at once: each
+    (angle, key) row gathers its children's padded rows, scales and shifts
+    them, and one row-wise ``merge_intervals`` merges them all."""
 
     def __init__(self, ifs, theta, orient, ns):
         self.ifs, self.theta, self.ns = ifs, theta, set(ns)
@@ -193,6 +268,15 @@ class _ProjectionRecursion:
                 level.add((1, 0))
         keys.append([(key, []) for key in sorted(level)])
         self.keys = keys[::-1]
+        self.children = [None]
+        for below, rows in zip(self.keys, self.keys[1:]):
+            row = {key: q for q, (key, _) in enumerate(below)}
+            self.children.append(np.array([[row[child] for child in children] for _, children in rows]))
+        self.half = [ifs.R0]
+        r_j = 1.0
+        for _ in self.keys[1:]:
+            r_j = ifs.maps[0].r * r_j
+            self.half.append(r_j * ifs.R0)
 
     @classmethod
     def of(cls, ifs, ns, body):
@@ -206,50 +290,127 @@ class _ProjectionRecursion:
             return None
         return cls(ifs, *(classes.pop() if classes else (0.0, 1)), ns)
 
-    def merged_at(self, phi):
-        """Yield (n, union of the projected level-n cover at angle phi) for
-        the requested levels in ascending order, in the centre form."""
-        ifs, theta = self.ifs, self.theta
-        r, (cx, cy), maps = ifs.maps[0].r, ifs.center, ifs.maps
+    def sweep(self, phis, workers):
+        """(lengths, components): for each requested level, the length and
+        the component count of the projected cover at each angle of phis.
 
-        def direction(key):
-            a = key[0] * phi + key[1] * theta
-            return math.cos(a), math.sin(a)
+        A block starts as all angles and halves, down to one angle, before
+        any level step whose padded intake would pass BLOCK_CAP; once it has
+        split, ``workers`` threads run the blocks.  Every angle's rows are
+        merged on their own, so the result does not depend on the blocks or
+        on ``workers``; of blocks that fail, the one of the least angles
+        raises, as one worker running them in order would."""
+        phis = list(phis)
+        out = (
+            {n: np.empty(len(phis)) for n in self.ns},
+            {n: np.empty(len(phis), dtype=np.intp) for n in self.ns},
+        )
+        pending = self._advance(self._base(phis), phis, out) if phis else []
+        if workers == 1 or not pending:
+            while pending:
+                pending[:0] = self._advance(pending.pop(0), phis, out)
+            return out
+        # depth first in angle order, at most `workers` blocks in flight
+        running, failed = {}, None
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            while pending or running:
+                while pending and len(running) < workers:
+                    block = pending.pop(0)
+                    if failed is None or block.start < failed[0]:
+                        running[pool.submit(self._advance, block, phis, out)] = block
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    start = running.pop(future).start
+                    try:
+                        pending = sorted(pending + future.result(), key=lambda b: b.start)
+                    except (LevelTooLarge, NumericOverflow) as e:
+                        if failed is None or start < failed[0]:
+                            failed = start, e
+        if failed is not None:
+            raise failed[1]
+        return out
 
-        comps = {}
-        for key, _ in self.keys[0]:
-            c, s = direction(key)
-            p = np.array([cx * c + cy * s])
-            comps[key] = IntervalSet(p, p, ifs.R0)
-        if 0 in self.ns:
-            yield 0, comps[(1, 0)]
-        r_j = 1.0
-        for j, rows in enumerate(self.keys[1:], start=1):
-            # the merges of one level together hold at most INTERVAL_CAP
-            # intervals, which bounds the components a level stores
-            size = sum(len(comps[child]) for _, children in rows for child in children)
-            if size > INTERVAL_CAP:
-                raise LevelTooLarge(f"level {j} merges {size} intervals, over cap {INTERVAL_CAP}")
-            r_j = r * r_j
-            half = r_j * ifs.R0
-            level = {}
-            for key, children in rows:
-                c, s = direction(key)
-                parts = [comps[child] for child in children]
-                shift = np.repeat([f.tx * c + f.ty * s for f in maps], [len(p) for p in parts])
-                los = np.concatenate([p.los for p in parts])
-                his = np.concatenate([p.his for p in parts])
-                los *= r
-                los += shift
-                his *= r
-                his += shift
-                level[key] = merge_intervals(los, his, half=half)
-            comps = level
-            if j in self.ns:
-                yield j, comps[(1, 0)]
+    def _directions(self, phis, j):
+        """cos and sin of the direction of every (angle, key) row of level j."""
+        keys = [key for key, _ in self.keys[j]]
+        angles = [s * phi + k * self.theta for phi in phis for s, k in keys]
+        shape = (len(phis), len(keys))
+        return (
+            np.array([math.cos(a) for a in angles]).reshape(shape),
+            np.array([math.sin(a) for a in angles]).reshape(shape),
+        )
 
-    def lengths_at(self, phi):
-        return {n: merged.total_length for n, merged in self.merged_at(phi)}
+    def _base(self, phis):
+        """Level 0 for all angles: the disk projects to one interval."""
+        c, s = self._directions(phis, 0)
+        cx, cy = self.ifs.center
+        p = (cx * c + cy * s).reshape(-1, 1)
+        return _Block(0, len(phis), 0, IntervalSet(p, p, self.half[0]), np.ones(len(p), dtype=np.intp))
+
+    def _advance(self, block, phis, out):
+        """Record the block's requested levels in out while stepping it up to
+        the top level; return [] there, or its two halves where a step's
+        padded intake would pass BLOCK_CAP.  A one-angle block past the cap
+        merges its rows in groups of at most BLOCK_CAP padded intervals (or
+        one row)."""
+        maps = self.ifs.maps
+        tx, ty = np.array([f.tx for f in maps]), np.array([f.ty for f in maps])
+        while True:
+            self._record(block, out)
+            j, angles = block.j + 1, block.stop - block.start
+            if j == len(self.keys):
+                return []
+            row_intake = len(maps) * block.comps.los.shape[1]
+            if angles > 1 and angles * len(self.children[j]) * row_intake > BLOCK_CAP:
+                return block.halves()
+            rows = self.children[j] + (np.arange(angles) * len(self.keys[j - 1]))[:, None, None]
+            # INTERVAL_CAP bounds the intervals one angle's level takes in,
+            # and so the components a level stores
+            size = block.count[rows].sum(axis=(1, 2))
+            over = np.flatnonzero(size > INTERVAL_CAP)
+            if len(over):
+                raise LevelTooLarge(f"level {j} merges {size[over[0]]} intervals, over cap {INTERVAL_CAP}")
+            c, s = self._directions(phis[block.start : block.stop], j)
+            shift = tx * c[..., None] + ty * s[..., None]
+            rows, shift = rows.reshape(-1, len(maps)), shift.reshape(-1, len(maps))
+            group = max(1, BLOCK_CAP // row_intake)
+            parts = [
+                self._merge(block, rows[g : g + group], shift[g : g + group], j)
+                for g in range(0, len(rows), group)
+            ]
+            comps = parts[0] if len(parts) == 1 else _stack(parts)
+            block = _Block(block.start, block.stop, j, comps, np.count_nonzero(comps.los < np.inf, axis=1))
+
+    def _merge(self, block, rows, shift, j):
+        """Merge the given (angle, key) rows of level j, each the union of its
+        children's rows (rows[q, i] for map i) scaled by r and shifted by
+        shift[q, i]."""
+        width = block.count[rows].max()
+        los, his = block.comps.los[:, :width][rows], block.comps.his[:, :width][rows]
+        for ends in (los, his):
+            ends *= self.ifs.maps[0].r
+            ends += shift[..., None]
+        los, his = los.reshape(len(rows), -1), his.reshape(len(rows), -1)
+        comps = merge_intervals(los, his, half=self.half[j])
+        # +inf left ends are padding: a projection that overflows must not
+        # pass for it
+        last = block.count[rows].sum(axis=1) - 1
+        edges = (los[:, 0], los[np.arange(len(rows)), last], his[np.arange(len(rows)), last])
+        if not all(np.isfinite(e).all() for e in edges):
+            raise NumericOverflow(f"level {j} projections exceed the float range")
+        return comps
+
+    def _record(self, block, out):
+        if block.j not in self.ns:
+            return
+        keys = len(self.keys[block.j])
+        home = [key for key, _ in self.keys[block.j]].index((1, 0))
+        comps = block.comps
+        for a, (lo, hi, count) in enumerate(
+            zip(comps.los[home::keys], comps.his[home::keys], block.count[home::keys])
+        ):
+            out[0][block.j][block.start + a] = IntervalSet(lo[:count], hi[:count], comps.half).total_length
+            out[1][block.j][block.start + a] = count
 
 
 def level_projection_length(ifs, n, theta, body=None):
@@ -295,14 +456,13 @@ def projection_sweep(ifs, ns, thetas, body=None, workers=None):
     thetas = list(thetas)
     workers = workers or default_workers()
     recursion = _ProjectionRecursion.of(ifs, ns, body)
+    if recursion is not None:
+        return recursion.sweep(thetas, workers)[0]
     out = {}
     with ExitStack() as stack:
         mapper = map
         if workers > 1 and len(thetas) > 1:
             mapper = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
-        if recursion is not None:
-            rows = list(mapper(recursion.lengths_at, thetas))
-            return {n: np.array([row[n] for row in rows]) for n in ns}
         sweeper = _LevelSweeper(ifs, body=body)
         for n in ns:
             sweeper.advance_to(n)

@@ -1,24 +1,21 @@
 import json
 import math
-import os
 import subprocess
 import sys
 import time
 
 import pytest
+from conftest import src_env
 
 FIG1 = "configs/fig1.json"
 
 
 def run_cli(*args, env=None):
-    e = dict(os.environ)
-    if env:
-        e.update(env)
     return subprocess.run(
         [sys.executable, "-m", "favlab.cli", *args],
         capture_output=True,
         text=True,
-        env=e,
+        env=src_env(env),
         timeout=120,
     )
 

@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import src_env
 
 from favlab.errors import ConfigError
 from favlab import ifs as ifs_mod
@@ -301,12 +302,12 @@ def test_decay_fit_cli_and_script_agree(tmp_path):
     csv.write_text(DECAY_CSV)
     cli = subprocess.run(
         [sys.executable, "-m", "favlab.cli", "decay", "fit", "--csv", str(csv)],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=src_env(),
     )
     script = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "fit_fig1_decay.py"), "--csv", str(csv),
          "--ifs", str(ROOT / "configs" / "fig1.json")],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=src_env(),
     )
     assert cli.returncode == 0, cli.stderr
     assert script.returncode == 0, script.stderr

@@ -2,7 +2,6 @@ import importlib
 import math
 import os
 import random
-import subprocess
 import sys
 
 import numpy as np
@@ -10,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from favlab.errors import DegenerateFit, LevelTooLarge, NonHomogeneous, RhoTooSmall
+from favlab.errors import (
+    DegenerateFit,
+    LevelTooLarge,
+    NonHomogeneous,
+    NumericOverflow,
+    RhoTooSmall,
+)
 from favlab.favard import (
     DecayFit,
     FavardSchedule,
@@ -205,6 +210,31 @@ def test_merge_touching_coalesce():
     assert merged.total_length == pytest.approx(2.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(centre_batches().map(lambda b: b[:2]), min_size=1, max_size=6),
+    st.integers(0, 3),
+    st.sampled_from([0.0, 0.25, 1e-9]),
+)
+def test_row_merge_matches_each_row(rows, extra, half):
+    """(rows, W) arrays padded with +inf merge each row on its own: the
+    components of a row are the 1-D union's, then +inf.  They are compared
+    as values, since a sort may order -0.0 and 0.0 either way."""
+    width = max(len(lo) for lo, _ in rows) + extra
+    los, his = np.full((len(rows), width), np.inf), np.full((len(rows), width), np.inf)
+    for i, (lo, hi) in enumerate(rows):
+        # the union reads each end array only once sorted
+        los[i, : len(lo)], his[i, : len(hi)] = lo[::-1], hi
+    merged = merge_intervals(los, his, half=half)
+    assert merged.los.ndim == 2 and merged.half == half
+    for i, (lo, hi) in enumerate(rows):
+        one = merge_intervals(lo.copy(), hi.copy(), half=half)
+        count = len(one)
+        assert merged.los[i, :count].tolist() == one.los.tolist()
+        assert merged.his[i, :count].tolist() == one.his.tolist()
+        assert np.all(merged.los[i, count:] == np.inf) and np.all(merged.his[i, count:] == np.inf)
+
+
 # ------------------------------------------------------------ intervals
 
 
@@ -378,13 +408,14 @@ def test_sweep_deterministic_across_workers(ifs):
 
 def _record_merges(monkeypatch):
     """Route favard's union through a recorder of the form of each call:
-    "centre" (half > 0, the projection recursion's) or "endpoint" (half 0)."""
+    "rows" (padded rows, the projection recursion's), "centre" (1-D,
+    half > 0) or "endpoint" (1-D, half 0)."""
     favard_mod = importlib.import_module("favlab.favard")
     forms = []
     original = favard_mod.merge_intervals
 
     def recorder(los, his, half=0.0):
-        forms.append("centre" if half > 0.0 else "endpoint")
+        forms.append("rows" if np.ndim(los) == 2 else "centre" if half > 0.0 else "endpoint")
         return original(los, his, half)
 
     monkeypatch.setattr(favard_mod, "merge_intervals", recorder)
@@ -403,7 +434,8 @@ def test_fig1_sweep_takes_recursive_path(ifs, monkeypatch):
             _assert_same_bits(sweeper.merged_at(theta), oracle)
     forms = _record_merges(monkeypatch)
     projection_sweep(ifs, [2, 5], thetas, workers=1)
-    assert forms and set(forms) == {"centre"}
+    # one row-wise union per level serves all 16 angles and every key
+    assert forms == ["rows"] * 5
 
 
 def test_reflected_homogeneous_disk_sweep_takes_recursive_path(monkeypatch):
@@ -415,7 +447,7 @@ def test_reflected_homogeneous_disk_sweep_takes_recursive_path(monkeypatch):
     )
     forms = _record_merges(monkeypatch)
     projection_sweep(reflected, [1, 4], [0.3, 1.9], workers=1)
-    assert forms and set(forms) == {"centre"}
+    assert forms == ["rows"] * 4
 
 
 def _assert_endpoint_sweeps(cases, monkeypatch):
@@ -516,14 +548,14 @@ def test_recursion_matches_level_sweeper(system, thetas):
     levels = range(0, 9)
     recursion = FAVARD._ProjectionRecursion.of(system, levels, None)
     assert recursion is not None
-    merged = [dict(recursion.merged_at(theta)) for theta in thetas]
+    lengths, components = recursion.sweep(thetas, 1)
     sweeper = _LevelSweeper(system)
     for n in levels:
         sweeper.advance_to(n)
-        for theta, rec in zip(thetas, merged):
+        for a, theta in enumerate(thetas):
             oracle = sweeper.merged_at(theta)
-            assert len(rec[n]) == len(oracle), (n, theta)
-            assert abs(rec[n].total_length - oracle.total_length) <= 1e-12 * oracle.total_length
+            assert components[n][a] == len(oracle), (n, theta)
+            assert abs(lengths[n][a] - oracle.total_length) <= 1e-12 * oracle.total_length
 
 
 def test_fig1_recursion_matches_live_sweeper(ifs):
@@ -537,6 +569,13 @@ def test_fig1_recursion_matches_live_sweeper(ifs):
         sweeper.advance_to(n)
         live = np.array([sweeper.length_at(theta) for theta in thetas])
         assert np.all(np.abs(lengths[n] - live) <= 1e-12 * live), n
+
+
+def test_sweep_of_no_angles(ifs):
+    # both paths return one empty array per level
+    for body in (None, attractor_hull(ifs)):
+        out = projection_sweep(ifs, [0, 3], [], body=body, workers=2)
+        assert list(out) == [0, 3] and all(v.shape == (0,) for v in out.values())
 
 
 def test_recursion_eligibility(ifs):
@@ -579,12 +618,102 @@ def test_recursive_sweep_bit_identical_across_threads(ifs, system, monkeypatch):
     levels = list(range(0, 10))
     forms = _record_merges(monkeypatch)
     runs = []
-    for workers in ("1", "2", "4"):
-        monkeypatch.setenv("FAVLAB_THREADS", workers)
-        runs.append(projection_sweep(ifs, levels, thetas))
-    assert forms and set(forms) == {"centre"}
+    # at the default BLOCK_CAP and at one small enough that the blocks split
+    # and the threads run them
+    for cap in (FAVARD.BLOCK_CAP, 2000):
+        monkeypatch.setattr(FAVARD, "BLOCK_CAP", cap)
+        for workers in ("1", "2", "4"):
+            monkeypatch.setenv("FAVLAB_THREADS", workers)
+            runs.append(projection_sweep(ifs, levels, thetas))
+    assert forms and set(forms) == {"rows"}
     for n in levels:
-        assert runs[0][n].tobytes() == runs[1][n].tobytes() == runs[2][n].tobytes()
+        assert len({run[n].tobytes() for run in runs}) == 1
+
+
+def _per_angle_merged_at(recursion, phi):
+    """[oracle] The per-angle pass of the projection recursion as it stood
+    before one level step served a block of angles: yields (n, union of the
+    projected level-n cover at angle phi) in the centre form, from one 1-D
+    merge per (level, angle key)."""
+    ifs, theta = recursion.ifs, recursion.theta
+    r, (cx, cy), maps = ifs.maps[0].r, ifs.center, ifs.maps
+
+    def direction(key):
+        a = key[0] * phi + key[1] * theta
+        return math.cos(a), math.sin(a)
+
+    comps = {}
+    for key, _ in recursion.keys[0]:
+        c, s = direction(key)
+        p = np.array([cx * c + cy * s])
+        comps[key] = IntervalSet(p, p, ifs.R0)
+    if 0 in recursion.ns:
+        yield 0, comps[(1, 0)]
+    r_j = 1.0
+    for j, rows in enumerate(recursion.keys[1:], start=1):
+        r_j = r * r_j
+        half = r_j * ifs.R0
+        level = {}
+        for key, children in rows:
+            c, s = direction(key)
+            parts = [comps[child] for child in children]
+            shift = np.repeat([f.tx * c + f.ty * s for f in maps], [len(p) for p in parts])
+            los = np.concatenate([p.los for p in parts])
+            his = np.concatenate([p.his for p in parts])
+            los *= r
+            los += shift
+            his *= r
+            his += shift
+            level[key] = merge_intervals(los, his, half=half)
+        comps = level
+        if j in recursion.ns:
+            yield j, comps[(1, 0)]
+
+
+def _assert_matches_per_angle_pass(recursion, thetas, sweep):
+    lengths, components = sweep
+    for a, theta in enumerate(thetas):
+        for n, merged in _per_angle_merged_at(recursion, theta):
+            assert lengths[n][a : a + 1].tobytes() == np.array([merged.total_length]).tobytes()
+            assert components[n][a] == len(merged)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    one_class_systems(),
+    st.lists(
+        st.one_of(st.sampled_from([0.0, math.pi / 2, 1.0]), st.floats(0.0, math.pi)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_block_recursion_bit_identical_to_per_angle_pass(system, thetas):
+    recursion = FAVARD._ProjectionRecursion.of(system, range(0, 10), None)
+    _assert_matches_per_angle_pass(recursion, thetas, recursion.sweep(thetas, 1))
+
+
+def test_block_splits_keep_bits(ifs, monkeypatch):
+    thetas = [(j + 0.5) * math.pi / 16 for j in range(16)] + [0.0, math.pi / 2, 0.0]
+    recursion = FAVARD._ProjectionRecursion.of(ifs, range(0, 9), None)
+    whole = recursion.sweep(thetas, 1)
+    _assert_matches_per_angle_pass(recursion, thetas, whole)
+    forms = _record_merges(monkeypatch)
+    # every step splits its block down to one angle, and one angle's step
+    # merges one row at a time; with more threads than cores and a short
+    # switch interval, a lost write of a block's lengths would show
+    monkeypatch.setattr(FAVARD, "BLOCK_CAP", 1)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 2, 8):
+            forms.clear()
+            split = recursion.sweep(thetas, workers)
+            for n in range(0, 9):
+                assert split[0][n].tobytes() == whole[0][n].tobytes()
+                assert split[1][n].tolist() == whole[1][n].tolist()
+            assert forms == ["rows"] * len(thetas) * sum(len(rows) for rows in recursion.keys[1:])
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_recursion_caps_merges_before_any_work(ifs, monkeypatch):
@@ -609,6 +738,35 @@ def test_recursion_caps_level_merges_not_the_cover(ifs, monkeypatch):
     assert projection_sweep(ifs, [6], [0.7], workers=1)[6][0] > 0.0
     with pytest.raises(LevelTooLarge, match="over cap 100"):
         projection_sweep(ifs, [7], [0.7], workers=1)
+
+
+def test_recursion_cap_is_per_angle_in_a_block(ifs, monkeypatch):
+    # the pass to 7 at theta = 0.7 takes in 117 intervals at level 6; at
+    # 16.5 pi / 64 no level of it passes 100
+    monkeypatch.setattr(FAVARD, "INTERVAL_CAP", 100)
+    fits = 16.5 * math.pi / 64
+    assert projection_sweep(ifs, [7], [fits], workers=1)[7][0] > 0.0
+    message = "level 6 merges 117 intervals, over cap 100"
+    with pytest.raises(LevelTooLarge, match=message):
+        projection_sweep(ifs, [7], [0.7], workers=1)
+    for cap in (FAVARD.BLOCK_CAP, 1):  # one block, and blocks of one angle
+        monkeypatch.setattr(FAVARD, "BLOCK_CAP", cap)
+        for workers in (1, 2):
+            with pytest.raises(LevelTooLarge, match=message):
+                projection_sweep(ifs, [7], [fits, 0.7, fits], workers=workers)
+
+
+def test_recursion_overflow_is_an_error(monkeypatch):
+    # centre projections at pi/4 pass the float range although the
+    # enclosing disk does not: an overflowed left end would read as padding
+    near_limit = IFS.from_maps(
+        [
+            Similitude(r=0.5, theta=0.0, orient=1, tx=7.5e307, ty=7.5e307),
+            Similitude(r=0.5, theta=0.0, orient=1, tx=7.4e307, ty=7.4e307),
+        ]
+    )
+    with np.errstate(over="ignore"), pytest.raises(NumericOverflow, match="level 1"):
+        projection_sweep(near_limit, [3], [math.pi / 4], workers=1)
 
 
 def _seeded_reflected_system(seed):
