@@ -5,6 +5,7 @@ next to the three reference curves."""
 import argparse
 import sys
 
+from favlab import cli
 from favlab.favard import (
     bound_constant,
     bound_curves,
@@ -19,13 +20,12 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--csv", default="fig1_sweep.csv")
     ap.add_argument("--ifs", default="configs/fig1.json")
-    ap.add_argument("--k", type=int, default=1)
-    ap.add_argument("--d", type=float, default=2.0)
-    ap.add_argument("--delta", type=float, default=0.1)
+    ap.add_argument("--k", type=cli.positive, default=1)
+    ap.add_argument("--d", type=cli.positive_real, default=2.0)
+    ap.add_argument("--delta", type=cli.positive_real, default=0.1)
     args = ap.parse_args()
 
-    with open(args.csv, encoding="utf-8") as fh:
-        fit = fit_decay(decay_samples(fh.read()))
+    fit = fit_decay(decay_samples(cli.read_text(args.csv)))
     print(f"A_hat={fit.A_hat:.6f} B_hat={fit.B_hat:.6f} "
           f"residual={fit.residual:.3e}")
 
@@ -42,4 +42,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli.guarded(main))

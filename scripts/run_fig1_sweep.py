@@ -4,9 +4,9 @@
 
 import argparse
 import math
-import pathlib
 import sys
 
+from favlab import cli
 from favlab.favard import projection_sweep
 from favlab.ifs import IFS
 
@@ -14,8 +14,8 @@ from favlab.ifs import IFS
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--ifs", default="configs/fig1.json")
-    ap.add_argument("--n-max", type=int, default=12)
-    ap.add_argument("--angles", type=int, default=64)
+    ap.add_argument("--n-max", type=cli.level, default=12)
+    ap.add_argument("--angles", type=cli.positive, default=64)
     ap.add_argument("--out", default="fig1_sweep.csv")
     args = ap.parse_args()
 
@@ -31,7 +31,7 @@ def main():
             lines.append(f"{n},{theta!r},{length!r}")
         fav = float(sweep[n].mean()) * math.pi
         lines.append(f"{n},{fav!r},{float(sweep[n].max())!r}")
-    pathlib.Path(args.out).write_text("\n".join(lines) + "\n")
+    cli.emit("\n".join(lines) + "\n", args.out)
     print(f"wrote {args.out}: {len(levels)} levels x {K} angles")
     for n in levels:
         print(f"n={n:2d} favard={float(sweep[n].mean()) * math.pi:.6f} "
@@ -39,4 +39,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli.guarded(main))

@@ -46,7 +46,8 @@ def _csv_header(args):
     return f"# favlab {__version__} config={digest} seed={args.seed}\n"
 
 
-def _emit(args, text, path=None):
+def emit(text, path=None):
+    """Write text to the file at path, or to stdout without one."""
     if path:
         try:
             with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -57,7 +58,8 @@ def _emit(args, text, path=None):
         sys.stdout.write(text)
 
 
-def _read_text(path):
+def read_text(path):
+    """The text of the file at path; an unreadable file is a config error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -67,7 +69,7 @@ def _read_text(path):
 
 def _load_cert(path):
     try:
-        data = json.loads(_read_text(path))
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: {e}")
     return RelCloseCertificate.from_dict(data)
@@ -83,7 +85,7 @@ def cmd_render(args):
     ifs = IFS.from_json(args.ifs)
     theta = parse_expr(args.theta).value if args.theta else None
     doc = render_svg(ifs, args.depth, theta=theta)
-    _emit(args, doc, args.svg)
+    emit(doc, args.svg)
     return 0
 
 
@@ -95,16 +97,16 @@ def cmd_favard(args):
     for theta, length in zip(res.thetas.tolist(), res.lengths.tolist()):
         rows.append(f"{args.n},{theta!r},{length!r}\n")
     rows.append(f"{args.n},{res.value!r},{res.max_over_theta!r}\n")
-    _emit(args, "".join(rows), args.csv)
+    emit("".join(rows), args.csv)
     if args.svg:
-        _emit(args, render_svg(ifs, min(args.n, 6)), args.svg)
+        emit(render_svg(ifs, min(args.n, 6)), args.svg)
     if args.csv:
         print(f"favard {res.value} max_over_theta {res.max_over_theta}")
     return 0
 
 
 def cmd_decay_fit(args):
-    fit = fit_decay(decay_samples(_read_text(args.csv)))
+    fit = fit_decay(decay_samples(read_text(args.csv)))
     curves = bound_curves(
         bound_constant(args.k, args.d, args.m, args.delta), args.m,
         args.c_low, args.C_ls, args.a_ls, [n for n, _ in fit.samples], A=fit.A_hat,
@@ -120,7 +122,7 @@ def cmd_decay_fit(args):
 
 def _write_cert(args, cert):
     payload = json.dumps(cert.to_dict(), indent=2, sort_keys=True) + "\n"
-    _emit(args, payload, args.out)
+    emit(payload, args.out)
     if args.out:
         print(f"certificate {len(cert.words)} words eps {cert.eps} theta {cert.theta}")
     return 0
@@ -163,7 +165,7 @@ def cmd_density(args):
                 rows.append(f"{r!r},{q!r}\n")
         except FavlabError as e:
             print(f"WARNING density profile not written: {e}", file=sys.stderr)
-    _emit(args, "".join(rows), args.csv)
+    emit("".join(rows), args.csv)
     print(
         f"x {wit.x} b {wit.b} log10_b {wit.log10_b} ratio {wit.ratio} "
         f"steering_len {wit.steering_word_len}"
@@ -177,7 +179,7 @@ def cmd_visible(args):
     for n in range(1, args.n + 1):
         est = visibility_estimate(ifs, (args.ax, args.ay), args.s, n)
         rows.append(f"{n},{est.covering_sum!r}\n")
-    _emit(args, "".join(rows), args.csv)
+    emit("".join(rows), args.csv)
     return 0
 
 
@@ -383,6 +385,20 @@ def build_parser():
     return p
 
 
+def guarded(fn, *args):
+    """The exit code of ``fn(*args)``, a command or a script's main: 2 for a
+    config error, 1 for a domain error or overflow, after its ERROR line."""
+    try:
+        return fn(*args)
+    except FavlabError as e:
+        print(f"ERROR {e}", file=sys.stderr)
+        return 2 if isinstance(e, ConfigError) else 1
+    except OverflowError as e:  # float arithmetic beyond the float range
+        print(f"ERROR {NumericOverflow(f'a result exceeds the float range ({e})')}",
+              file=sys.stderr)
+        return 1
+
+
 def run(argv):
     parser = build_parser()
     try:
@@ -390,18 +406,7 @@ def run(argv):
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     print("config: " + _config(args), file=sys.stderr)
-    try:
-        return args.func(args)
-    except ConfigError as e:
-        print(f"ERROR {e}", file=sys.stderr)
-        return 2
-    except FavlabError as e:
-        print(f"ERROR {e}", file=sys.stderr)
-        return 1
-    except OverflowError as e:  # float arithmetic beyond the float range
-        print(f"ERROR {NumericOverflow(f'a result exceeds the float range ({e})')}",
-              file=sys.stderr)
-        return 1
+    return guarded(args.func, args)
 
 
 def main():

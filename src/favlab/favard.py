@@ -15,8 +15,8 @@ at most n - j + 1 of them at level j of a pass to level n, and that one pass
 yields every requested level.  One level step serves a block of angles and
 every key of the level: each (angle, key) row gathers its children's rows,
 padded with +inf, and one row-wise ``merge_intervals`` call merges them
-all.  A block starts as all angles and halves, down to one angle, before any
-step whose padded intake would pass BLOCK_CAP; a one-angle block past it
+all.  A block starts as a part's angles and halves, down to one angle, before
+any step whose padded intake would pass BLOCK_CAP; a one-angle block past it
 merges its rows in groups under the cap.  Its depth is bounded by MERGE_CAP
 (level-key merges per angle, checked before any work) and by INTERVAL_CAP
 on the intervals one angle's level takes in, not by m^n: fig1 runs to
@@ -30,10 +30,9 @@ which looks up the few vertices that can be extreme in each direction
 instead of projecting all V vertices of every cylinder; its endpoints are
 bit-identical to the dense N x V form.
 
-FAVLAB_THREADS (default min(4, CPUs)) sets the worker threads.  The sweeper
-maps its angles over that many; the recursion runs its first block in the
-calling thread and, once that block has split, up to that many blocks at a
-time, so a sweep that never splits starts no thread.
+FAVLAB_THREADS (an integer >= 1, default min(4, CPUs)) sets the threads of
+``_thread_map``, the one place that builds a thread pool, one per sweep: the
+sweeper maps each level's angles over it, the recursion parts of its angles.
 
 The recursion's lengths differ from the sweeper's in the last bits (a
 centre projection rounds differently from projecting each cylinder; on
@@ -44,13 +43,14 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from contextlib import ExitStack
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateFit,
     LevelTooLarge,
     NonHomogeneous,
@@ -140,13 +140,24 @@ def merge_intervals(los, his, half=0.0):
 
 
 def default_workers():
+    """FAVLAB_THREADS, an integer >= 1, or min(4, CPUs) where unset or empty."""
     env = os.environ.get("FAVLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
+    if not env:
+        return min(4, os.cpu_count() or 1)
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ConfigError(f"FAVLAB_THREADS must be an integer >= 1, got {env!r}")
+    return int(env)
+
+
+@contextmanager
+def _thread_map(workers, tasks):
+    """``map`` for one worker or one task, else the ``map`` of a pool of
+    ``workers`` threads; both yield the results in order."""
+    if workers == 1 or tasks < 2:
+        yield map
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield pool.map
 
 
 class _LevelSweeper:
@@ -294,40 +305,34 @@ class _ProjectionRecursion:
         """(lengths, components): for each requested level, the length and
         the component count of the projected cover at each angle of phis.
 
-        A block starts as all angles and halves, down to one angle, before
-        any level step whose padded intake would pass BLOCK_CAP; once it has
-        split, ``workers`` threads run the blocks.  Every angle's rows are
-        merged on their own, so the result does not depend on the blocks or
-        on ``workers``; of blocks that fail, the one of the least angles
-        raises, as one worker running them in order would."""
+        The angles are cut into contiguous parts, one at one worker and
+        2 * workers (at most one per angle) otherwise, mapped in angle order
+        over ``workers`` threads; each runs its blocks depth first from one
+        block, and a block halves, down to one angle, before any step whose
+        padded intake would pass BLOCK_CAP.  No result depends on the parts,
+        blocks or ``workers``; of failing parts, the first in order raises."""
         phis = list(phis)
         out = (
             {n: np.empty(len(phis)) for n in self.ns},
             {n: np.empty(len(phis), dtype=np.intp) for n in self.ns},
         )
-        pending = self._advance(self._base(phis), phis, out) if phis else []
-        if workers == 1 or not pending:
-            while pending:
-                pending[:0] = self._advance(pending.pop(0), phis, out)
-            return out
-        # depth first in angle order, at most `workers` blocks in flight
-        running, failed = {}, None
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            while pending or running:
-                while pending and len(running) < workers:
-                    block = pending.pop(0)
-                    if failed is None or block.start < failed[0]:
-                        running[pool.submit(self._advance, block, phis, out)] = block
-                done, _ = wait(running, return_when=FIRST_COMPLETED)
-                for future in done:
-                    start = running.pop(future).start
-                    try:
-                        pending = sorted(pending + future.result(), key=lambda b: b.start)
-                    except (LevelTooLarge, NumericOverflow) as e:
-                        if failed is None or start < failed[0]:
-                            failed = start, e
-        if failed is not None:
-            raise failed[1]
+        parts = min(len(phis), 1 if workers == 1 else 2 * workers)
+        cuts = [len(phis) * p // parts for p in range(parts + 1)] if phis else []
+        failed = []  # starts of the parts that raised
+
+        def run(start, stop):
+            if failed and min(failed) < start:
+                return  # a part of lesser angles raises whatever this one does
+            try:
+                pending = [self._base(phis, start, stop)]
+                while pending:
+                    pending[:0] = self._advance(pending.pop(0), phis, out)
+            except (LevelTooLarge, NumericOverflow):
+                failed.append(start)
+                raise
+
+        with _thread_map(workers, parts) as mapper:
+            list(mapper(run, cuts, cuts[1:]))
         return out
 
     def _directions(self, phis, j):
@@ -340,12 +345,12 @@ class _ProjectionRecursion:
             np.array([math.sin(a) for a in angles]).reshape(shape),
         )
 
-    def _base(self, phis):
-        """Level 0 for all angles: the disk projects to one interval."""
-        c, s = self._directions(phis, 0)
+    def _base(self, phis, start, stop):
+        """Level 0 for angles start:stop: the disk projects to one interval."""
+        c, s = self._directions(phis[start:stop], 0)
         cx, cy = self.ifs.center
         p = (cx * c + cy * s).reshape(-1, 1)
-        return _Block(0, len(phis), 0, IntervalSet(p, p, self.half[0]), np.ones(len(p), dtype=np.intp))
+        return _Block(start, stop, 0, IntervalSet(p, p, self.half[0]), np.ones(len(p), dtype=np.intp))
 
     def _advance(self, block, phis, out):
         """Record the block's requested levels in out while stepping it up to
@@ -413,14 +418,6 @@ class _ProjectionRecursion:
             out[1][block.j][block.start + a] = count
 
 
-def level_projection_length(ifs, n, theta, body=None):
-    """Total length and merged interval set of the projected level-n cover."""
-    sweeper = _LevelSweeper(ifs, body=body)
-    sweeper.advance_to(n)
-    merged = sweeper.merged_at(theta)
-    return merged.total_length, merged
-
-
 def neighborhood_projection_length(ifs, rho, theta):
     """Projected length of the rho-neighborhood estimate: mass-band cylinder
     intervals of the enclosing disk padded by rho, merged."""
@@ -459,11 +456,8 @@ def projection_sweep(ifs, ns, thetas, body=None, workers=None):
     if recursion is not None:
         return recursion.sweep(thetas, workers)[0]
     out = {}
-    with ExitStack() as stack:
-        mapper = map
-        if workers > 1 and len(thetas) > 1:
-            mapper = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
-        sweeper = _LevelSweeper(ifs, body=body)
+    sweeper = _LevelSweeper(ifs, body=body)
+    with _thread_map(workers, len(thetas)) as mapper:
         for n in ns:
             sweeper.advance_to(n)
             out[n] = np.array(list(mapper(sweeper.length_at, thetas)))

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from conftest import src_env
@@ -352,3 +353,50 @@ def test_visible_nonfinite_exit2(tmp_path, flag, value):
     assert "Traceback" not in r.stderr
     assert f"{flag}: must be finite" in r.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_bad_thread_count_exit2(value):
+    r = run_cli("favard", "--ifs", FIG1, "--n", "3", "--angles", "4",
+                env={"FAVLAB_THREADS": value})
+    _assert_config_error(r, f"FAVLAB_THREADS must be an integer >= 1, got {value!r}")
+    assert r.stdout == ""
+
+
+def test_empty_thread_count_is_unset():
+    r = run_cli("favard", "--ifs", FIG1, "--n", "3", "--angles", "4",
+                env={"FAVLAB_THREADS": ""})
+    assert r.returncode == 0, r.stderr
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script, argv, code, last",
+    [
+        # MERGE_CAP refuses the level before any work
+        ("run_fig1_sweep.py", ["--n-max", "100000"], 1, "ERROR level-too-large:"),
+        ("run_fig1_sweep.py", ["--angles", "0"], 2, "argument --angles: must be >= 1"),
+        ("run_fig1_sweep.py", ["--n-max", "-1"], 2, "argument --n-max: must be >= 0"),
+        ("run_fig1_sweep.py", ["--n-max", "3", "--out", "{tmp}/absent/out.csv"], 2,
+         "ERROR config: cannot write"),
+        ("fit_fig1_decay.py", ["--csv", "{tmp}/absent.csv"], 2, "ERROR config: cannot read"),
+        ("fit_fig1_decay.py", ["--csv", "{tmp}/short.csv"], 1, "ERROR degenerate-fit:"),
+        ("fit_fig1_decay.py", ["--csv", "{tmp}/short.csv", "--d", "0"], 2,
+         "argument --d: must be > 0"),
+        ("build_family.py", ["--eps", "0"], 2, "argument --eps: must be > 0"),
+        ("build_family.py", ["--eps", "1e-9", "--size", "2"], 1, "ERROR no-net:"),
+    ],
+)
+def test_script_errors_exit_without_traceback(tmp_path, script, argv, code, last):
+    (tmp_path / "short.csv").write_text("n,theta,length\n3,0.1,0.5\n4,0.1,0.4\n")
+    r = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), "--ifs", FIG1,
+         *(arg.format(tmp=tmp_path) for arg in argv)],
+        capture_output=True, text=True, env=src_env(), timeout=120,
+    )
+    assert r.returncode == code
+    assert "Traceback" not in r.stderr
+    assert last in r.stderr.splitlines()[-1]
+    assert r.stdout == ""

@@ -20,11 +20,11 @@ from favlab.favard import (
     DecayFit,
     FavardSchedule,
     IntervalSet,
+    _LevelSweeper,
     bound_constant,
     bound_curves,
     favard,
     fit_decay,
-    level_projection_length,
     log_star,
     merge_intervals,
     neighborhood_projection_length,
@@ -277,19 +277,27 @@ def test_cylinder_interval_boundary_oracle(ifs):
 # ------------------------------------------------------------ lengths
 
 
+def _sweeper_at(ifs, n, body=None):
+    """The level sweeper of (ifs, body) advanced to level n."""
+    sweeper = _LevelSweeper(ifs, body=body)
+    sweeper.advance_to(n)
+    return sweeper
+
+
 def test_segment_projection_length():
     ifs = segment_ifs()
     body = attractor_hull(ifs)
     for n in (1, 3, 5):
         for theta in (0.0, 0.4, 1.0):
-            length, _ = level_projection_length(ifs, n, theta, body=body)
+            length = _sweeper_at(ifs, n, body).length_at(theta)
             assert length == pytest.approx(abs(math.cos(theta)), abs=1e-9)
 
 
 def test_four_corner_level1():
     ifs = corner_ifs()
     body = attractor_hull(ifs)
-    length, ivset = level_projection_length(ifs, 1, 0.0, body=body)
+    ivset = _sweeper_at(ifs, 1, body).merged_at(0.0)
+    length = ivset.total_length
     # [DERIVED] hand merge: two columns give [0,1/4] u [3/4,1]
     assert length == pytest.approx(0.5, abs=1e-9)
     assert len(ivset) == 2
@@ -299,20 +307,18 @@ def test_level_length_monotone(ifs):
     for theta in (0.1, 1.0, 2.0):
         prev = math.inf
         for n in range(1, 8):
-            length, _ = level_projection_length(ifs, n, theta)
+            length = _sweeper_at(ifs, n).length_at(theta)
             assert length <= prev + 1e-9
             prev = length
 
 
 def test_level_length_matches_rasterization(ifs):
-    from favlab.favard import _LevelSweeper
-
     for n in (3, 5):
         for theta in (0.3, 1.7):
-            sweeper = _LevelSweeper(ifs)
-            sweeper.advance_to(n)
+            sweeper = _sweeper_at(ifs, n)
             los, his = sweeper.intervals_at(theta)
-            length, merged = level_projection_length(ifs, n, theta)
+            merged = sweeper.merged_at(theta)
+            length = merged.total_length
             lo_bound, hi_bound = _raster_bracket(los, his, len(merged))
             assert lo_bound - 1e-9 <= length <= hi_bound + 1e-9
 
@@ -331,8 +337,8 @@ def test_rotation_equivariance(ifs):
         ]
     )
     for theta in (0.2, 1.1):
-        a, _ = level_projection_length(ifs, 4, theta)
-        b, _ = level_projection_length(rotated, 4, theta + beta)
+        a = _sweeper_at(ifs, 4).length_at(theta)
+        b = _sweeper_at(rotated, 4).length_at(theta + beta)
         assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -363,7 +369,7 @@ def test_neighborhood_vs_level_band(ifs):
     for k in (2, 4, 6):
         rho = (1 / 3) ** k
         a = neighborhood_projection_length(ifs, rho, 0.9)
-        b, _ = level_projection_length(ifs, k, 0.9)
+        b = _sweeper_at(ifs, k).length_at(0.9)
         assert b <= a  # padding only adds length
         assert a / b <= 2.0
 
@@ -423,8 +429,6 @@ def _record_merges(monkeypatch):
 
 
 def test_fig1_sweep_takes_recursive_path(ifs, monkeypatch):
-    from favlab.favard import _LevelSweeper
-
     thetas = [(j + 0.5) * math.pi / 16 for j in range(16)]
     sweeper = _LevelSweeper(ifs)
     for n in range(0, 8):
@@ -454,8 +458,6 @@ def _assert_endpoint_sweeps(cases, monkeypatch):
     """Sweep each (system, body) at levels 1 and 4 and two angles: the
     recursion does not serve these systems, so every merge is an endpoint
     one, bit-identical to `_merge_oracle`, and each length is the oracle's."""
-    from favlab.favard import _LevelSweeper
-
     thetas = [0.3, 1.9]
     forms = _record_merges(monkeypatch)
     for system, body in cases:
@@ -543,8 +545,6 @@ def one_class_systems(draw):
 @settings(max_examples=60, deadline=None)
 @given(one_class_systems(), st.lists(st.floats(0.0, math.pi), min_size=1, max_size=3))
 def test_recursion_matches_level_sweeper(system, thetas):
-    from favlab.favard import _LevelSweeper
-
     levels = range(0, 9)
     recursion = FAVARD._ProjectionRecursion.of(system, levels, None)
     assert recursion is not None
@@ -559,8 +559,6 @@ def test_recursion_matches_level_sweeper(system, thetas):
 
 
 def test_fig1_recursion_matches_live_sweeper(ifs):
-    from favlab.favard import _LevelSweeper
-
     thetas = [(j + 0.5) * math.pi / 64 for j in range(64)]
     levels = list(range(2, 13))
     lengths = projection_sweep(ifs, levels, thetas)
@@ -716,6 +714,36 @@ def test_block_splits_keep_bits(ifs, monkeypatch):
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize(
+    "angles, workers", [(13, 1), (13, 2), (13, 3), (13, 8), (3, 8)],
+    ids=["13x1", "13x2", "13x3", "13x8", "3x8"],
+)
+@pytest.mark.parametrize("cap", [FAVARD.BLOCK_CAP, 2000, 1], ids=["cap-default", "cap-2000", "cap-1"])
+def test_parts_keep_bits(ifs, angles, workers, cap, monkeypatch):
+    # 13 angles cut into 1, 4, 6 and 13 uneven parts, and 3 angles at more
+    # workers than angles, each at blocks that never split, split and end
+    # at one angle: lengths and component counts are those of one part with
+    # one unsplit block, and of the pass per angle
+    thetas = [(j + 0.5) * math.pi / angles for j in range(angles)]
+    recursion = FAVARD._ProjectionRecursion.of(ifs, range(0, 10), None)
+    whole = recursion.sweep(thetas, 1)
+    _assert_matches_per_angle_pass(recursion, thetas, whole)
+    monkeypatch.setattr(FAVARD, "BLOCK_CAP", cap)
+    parts = recursion.sweep(thetas, workers)
+    for n in range(0, 10):
+        assert parts[0][n].tobytes() == whole[0][n].tobytes()
+        assert parts[1][n].tobytes() == whole[1][n].tobytes()
+
+
+def test_one_worker_merge_calls_on_fig1_grid(ifs, monkeypatch):
+    # one worker runs the angles as one part: one block of all 64 angles,
+    # halving where a step would pass BLOCK_CAP, 89 row-wise merges in all
+    forms = _record_merges(monkeypatch)
+    thetas = [(j + 0.5) * math.pi / 64 for j in range(64)]
+    projection_sweep(ifs, range(2, 13), thetas, workers=1)
+    assert forms == ["rows"] * 89
+
+
 def test_recursion_caps_merges_before_any_work(ifs, monkeypatch):
     forms = _record_merges(monkeypatch)
     with pytest.raises(LevelTooLarge, match="angle-key merges"):
@@ -754,6 +782,28 @@ def test_recursion_cap_is_per_angle_in_a_block(ifs, monkeypatch):
         for workers in (1, 2):
             with pytest.raises(LevelTooLarge, match=message):
                 projection_sweep(ifs, [7], [fits, 0.7, fits], workers=workers)
+
+
+def test_first_failing_part_raises(ifs, monkeypatch):
+    # under a cap of 100 the pass to 7 fails at level 7 at 12.5 pi / 64 and
+    # at level 6 at 0.7, which comes later
+    monkeypatch.setattr(FAVARD, "INTERVAL_CAP", 100)
+    fits, late = 16.5 * math.pi / 64, 12.5 * math.pi / 64
+    thetas = [fits, late, fits, 0.7, fits]
+    at_7 = "level 7 merges 102 intervals, over cap 100"
+    # one worker, one part: its one block meets level 6 first
+    with pytest.raises(LevelTooLarge, match="level 6 merges 117 intervals, over cap 100"):
+        projection_sweep(ifs, [7], thetas, workers=1)
+    # more workers cut the two apart, and the first part in angle order
+    # raises however long the other takes to fail
+    for workers in (2, 3, 8):
+        with pytest.raises(LevelTooLarge, match=at_7):
+            projection_sweep(ifs, [7], thetas, workers=workers)
+    # blocks of one angle fail in angle order at any worker count
+    monkeypatch.setattr(FAVARD, "BLOCK_CAP", 1)
+    for workers in (1, 2, 3, 8):
+        with pytest.raises(LevelTooLarge, match=at_7):
+            projection_sweep(ifs, [7], thetas, workers=workers)
 
 
 def test_recursion_overflow_is_an_error(monkeypatch):
@@ -802,8 +852,6 @@ def _dense_hull_intervals(sweeper, theta):
 
 @pytest.mark.parametrize("seed", [5, 8])
 def test_hull_sweep_bit_identical_to_dense(seed):
-    from favlab.favard import _LevelSweeper
-
     ifs = _seeded_reflected_system(seed)
     assert any(f.orient == -1 for f in ifs.maps)
     assert len({f.r for f in ifs.maps}) == 4
