@@ -20,6 +20,7 @@ from .favard import (
     bound_constant,
     bound_curves,
     decay_samples,
+    default_workers,
     favard,
     fit_decay,
     schedule as make_schedule,
@@ -387,8 +388,10 @@ def build_parser():
 
 def guarded(fn, *args):
     """The exit code of ``fn(*args)``, a command or a script's main: 2 for a
-    config error, 1 for a domain error or overflow, after its ERROR line."""
+    config error, 1 for a domain error or overflow, after its ERROR line.  A
+    bad FAVLAB_THREADS is a config error of every command, sweep or not."""
     try:
+        default_workers()
         return fn(*args)
     except FavlabError as e:
         print(f"ERROR {e}", file=sys.stderr)

@@ -61,7 +61,7 @@ def parse_word(text):
 
 
 def word_str(u):
-    return "".join(str(s) for s in u)
+    return "".join(map(str, u))
 
 
 def exceeds(m, n, cap):
@@ -391,15 +391,17 @@ class IFS:
         descend([], (1.0, 0.0, 1, 0.0, 0.0, 0.0))
         return out
 
-    def pi_point(self, u, anchor, tol=1e-12):
-        """Approximate the coded point of u . anchor, with a rigorous error radius.
+    def pi_point(self, u, anchor, tol=1e-12, g=IDENTITY):
+        """Approximate the coded point of u . anchor under F_g, with a rigorous
+        error radius; g = compose(s) gives the point of s . u . anchor, as
+        compose(u, g) is compose(s + u).
 
         The anchor's period is iterated until the residual contraction factor
         drops below tol; the returned point is within error_radius of the true
         coded point (both lie in the same image of the enclosing disk).
         """
         q, tail_log_r = self._anchor_tail(anchor, tol)
-        g_u = self.compose(u)
+        g_u = self.compose(u, g)
         p = g_u.apply(q)
         err = self.D * math.exp(min(g_u.log_r + tail_log_r, 0.0))
         return p, err

@@ -135,7 +135,7 @@ def density_witness(ifs, cert, theta):
     # ratio = sum_i mu([s u_i]) / (2b)^gamma with r_s^gamma cancelling
     ratio = mass / (10.0 * ifs.D * r_u1) ** ifs.gamma
     log10_b = (gs.log_r + math.log(b_scaled)) / math.log(10.0)
-    x_point, _ = ifs.pi_point(s + u1, fallback_tail)
+    x_point, _ = ifs.pi_point(u1, fallback_tail, g=gs)
     return DensityWitness(
         x=project(x_point, theta),
         b=math.exp(gs.log_r) * b_scaled,

@@ -205,6 +205,22 @@ def _perp_direction(ifs, u, v, omega):
     return norm_angle(math.atan2(dy, dx) + 0.5 * math.pi)
 
 
+def _steering_copies(ifs, th_u, th_v, target, eps, a):
+    """Least j <= p with both angles plus j copies of a's angle within eps of
+    target, p the size of the eps/2-net of a's orbit; None if no j hits.  The
+    angles themselves are tried first, with neither a's geometry nor its net."""
+    if circ_dist(th_u, target) < eps and circ_dist(th_v, target) < eps:
+        return 0
+    ga = ifs.compose(a)
+    net = epsilon_net(ga.theta, eps / 2.0, NET_P_MAX)
+    for j in range(1, net.p + 1):
+        du = circ_dist(th_u + j * ga.theta, target)
+        dv = circ_dist(th_v + j * ga.theta, target)
+        if du < eps and dv < eps:
+            return j
+    return None
+
+
 def find_pair(ifs, eps, phi=None, budget=None):
     """Search for a distinct relatively-close pair plus its angle.
 
@@ -246,17 +262,10 @@ def find_pair(ifs, eps, phi=None, budget=None):
             gu, gv = ifs.compose((i0,), gu), ifs.compose((i0,), gv)
         theta = _perp_direction(ifs, u, v, omega)
         if phi is not None:
-            target = phi(theta)
-            ga = ifs.compose(a)
-            net = epsilon_net(ga.theta, width, NET_P_MAX)
-            for j in range(net.p + 1):
-                du = circ_dist(gu.theta + j * ga.theta, target)
-                dv = circ_dist(gv.theta + j * ga.theta, target)
-                if du < eps and dv < eps:
-                    u, v = u + a * j, v + a * j
-                    break
-            else:
+            j = _steering_copies(ifs, gu.theta, gv.theta, phi(theta), eps, a)
+            if j is None:
                 continue
+            u, v = u + a * j, v + a * j
         pair = tuple(sorted((u, v)))
         cert = RelCloseCertificate(
             words=(u, v),

@@ -37,40 +37,98 @@ class DiophProfile:
     d_hat: float
 
 
-def _orbit_max_gap(theta1, p):
-    angles = np.sort((np.arange(1, p + 1, dtype=float) * theta1) % TWO_PI)
-    if p == 1:
-        return TWO_PI
-    gaps = np.diff(angles)
-    wrap = angles[0] + TWO_PI - angles[-1]
-    return float(max(gaps.max(), wrap))
+class _SortedOrbit:
+    """The orbit {k*theta1 mod 2*pi : k = 1..n} sorted once, at the longest n
+    asked for so far, with each point's index."""
+
+    def __init__(self, theta1):
+        self.theta1, self.n = theta1, 0
+
+    def max_gap(self, p):
+        """Largest circular gap of the first p points: the sorted orbit keeps
+        the points of index < p, so it sorts only when p passes n."""
+        if p == 1:
+            return TWO_PI
+        if p > self.n:
+            angles = (np.arange(1, p + 1, dtype=float) * self.theta1) % TWO_PI
+            self.index = np.argsort(angles, kind="stable")
+            self.angles, self.n = angles[self.index], p
+        angles = self.angles if p == self.n else self.angles[self.index < p]
+        gaps = np.diff(angles)
+        wrap = angles[0] + TWO_PI - angles[-1]
+        return float(max(gaps.max(), wrap))
+
+
+def _three_gap_guess(theta1, eps):
+    """Least N whose exact orbit {k*alpha mod 1 : k = 1..N}, alpha =
+    theta1/2pi, has largest gap below e = eps/2pi; None where the expansion
+    of alpha ends first.
+
+    Three-gap theorem: with delta_{-1} = 1, delta_0 = alpha, a_j =
+    delta_{j-1} // delta_j, delta_{j+1} = delta_{j-1} - a_j delta_j and q_j
+    the denominators, every N = m q_j + q_{j-1} + r (1 <= m <= a_j,
+    0 <= r < q_j) has largest gap delta_{j-1} - (m-1) delta_j."""
+    if not math.isfinite(eps):
+        return None
+    e = Fraction(eps) / Fraction(TWO_PI)
+    d0, d1 = Fraction(1), Fraction(theta1) / Fraction(TWO_PI)
+    q0, q1 = 0, 1
+    while d1:
+        a = d0 // d1
+        m = max(1, (d0 - e) // d1 + 2)
+        if m <= a:
+            return m * q1 + q0
+        d0, d1 = d1, d0 - a * d1
+        q0, q1 = q1, a * q1 + q0
+    return None
 
 
 def epsilon_net(theta1, eps, p_max, d=2.0):
     """Smallest p <= p_max whose orbit {k*theta1 : k=1..p} has max circular
-    gap below eps.  The gap is nonincreasing in p, so binary search applies."""
+    gap below eps.
+
+    The float gap is nonincreasing in p: a new point splits one gap, and
+    rounded sums and differences are monotone in their operands.  So p is
+    the one index with gap(p) < eps <= gap(p - 1), whatever order the search
+    probes in.  It starts at the three-gap answer of the exact orbit (at 1
+    where there is none), gallops outward from it until that holds across a
+    bracket and bisects the bracket."""
     if eps <= 0.0 or p_max < 1:
         raise PreconditionViolated("eps > 0 and p_max >= 1 required")
     theta1 = norm_angle(theta1)
-    hi = 1
-    while _orbit_max_gap(theta1, hi) >= eps:
-        if hi >= p_max:
-            raise NoNetWithinBound(
-                f"no eps-net with p <= {p_max} for theta1={theta1:.6g}, eps={eps:.6g}"
-            )
-        hi = min(2 * hi, p_max)
-    lo = max(1, hi // 2)
-    while lo < hi:
+    gap = _SortedOrbit(theta1).max_gap
+
+    def short(p):  # the first p points leave a gap of eps or more
+        return gap(p) >= eps
+
+    n = min(_three_gap_guess(theta1, eps) or 1, p_max)
+    # the bracket (lo, hi]: short(lo), not short(hi), lo = 0 counting as short
+    step = 1
+    if short(n):
+        lo = n
+        while True:
+            if lo >= p_max:
+                raise NoNetWithinBound(
+                    f"no eps-net with p <= {p_max} for theta1={theta1:.6g}, eps={eps:.6g}"
+                )
+            hi = min(lo + step, p_max)
+            if not short(hi):
+                break
+            lo, step = hi, 2 * step
+    else:
+        lo, hi = n - 1, n
+        while lo >= 1 and not short(lo):
+            lo, hi, step = max(lo - 2 * step, 0), lo, 2 * step
+    while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _orbit_max_gap(theta1, mid) < eps:
-            hi = mid
+        if short(mid):
+            lo = mid
         else:
-            lo = mid + 1
-    gap = _orbit_max_gap(theta1, hi)
+            hi = mid
     c1_hat = hi * eps ** (d + 1)
     if not math.isfinite(c1_hat):
         raise NumericOverflow(f"c1_hat = {hi} * eps^{d + 1} exceeds the float range")
-    return NetResult(p=hi, max_gap=gap, c1_hat=c1_hat)
+    return NetResult(p=hi, max_gap=gap(hi), c1_hat=c1_hat)
 
 
 def _continued_fraction_convergents(frac, n_max):
@@ -165,7 +223,11 @@ def sigma_arithmetic(values, tol):
 
 def find_rotation_word(ifs, eps):
     """A word a(eps): orientation +1, nonzero angle with |theta_a| < eps.
-    Scans pure powers i^k of the rotating maps, shortest hit first."""
+    Scans pure powers i^k of the rotating maps, shortest hit first and ties
+    to the lowest map index, over chunks of k that grow geometrically; a
+    chunk is one array pass with the float operations of norm_angle and
+    circ_dist, which for k >= 1 and an angle in [0, 2*pi) are one fmod and
+    min(a, 2*pi - a)."""
     rot = [
         (i, f.theta)
         for i, f in enumerate(ifs.maps, start=1)
@@ -173,11 +235,18 @@ def find_rotation_word(ifs, eps):
     ]
     if not rot:
         raise NoNetWithinBound("system has no rotating map")
-    for k in range(1, ROTATION_K_MAX + 1):
-        for i, th in rot:
-            ang = norm_angle(k * th)
-            if 0.0 < circ_dist(ang, 0.0) < eps:
-                return (i,) * k
+    symbols, thetas = zip(*rot)
+    thetas = np.array(thetas)
+    lo, size = 1, 1024
+    while lo <= ROTATION_K_MAX:
+        hi = min(lo + size, ROTATION_K_MAX + 1)
+        ang = np.fmod(np.arange(lo, hi, dtype=float)[:, None] * thetas, TWO_PI)
+        dist = np.minimum(ang, TWO_PI - ang)
+        hit = (0.0 < dist) & (dist < eps)
+        if hit.any():
+            k, i = np.unravel_index(np.argmax(hit), hit.shape)  # row-major: least k first
+            return (symbols[i],) * int(lo + k)
+        lo, size = hi, 2 * size
     raise NoNetWithinBound(f"no rotation power within {eps} in {ROTATION_K_MAX} steps")
 
 

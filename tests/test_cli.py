@@ -363,6 +363,19 @@ def test_bad_thread_count_exit2(value):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["-m", "favlab.cli", "dim", "--ifs", FIG1],
+    [str(Path(__file__).resolve().parent.parent / "scripts" / "build_family.py"),
+     "--ifs", FIG1, "--size", "2"],
+])
+def test_bad_thread_count_exit2_without_a_sweep(argv):
+    # the variable is checked before any command or script runs, sweep or not
+    r = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                       env=src_env({"FAVLAB_THREADS": "abc"}), timeout=120)
+    _assert_config_error(r, "FAVLAB_THREADS must be an integer >= 1, got 'abc'")
+    assert r.stdout == ""
+
+
 def test_empty_thread_count_is_unset():
     r = run_cli("favard", "--ifs", FIG1, "--n", "3", "--angles", "4",
                 env={"FAVLAB_THREADS": ""})

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from favlab.errors import ConfigError, PreconditionViolated, VerificationFailed
+from favlab import relclose
+from favlab.errors import ConfigError, NoNetWithinBound, PreconditionViolated, VerificationFailed
 from favlab.ifs import IFS, Similitude, TailWord, norm_angle
 from favlab.relclose import (
     RelCloseCertificate,
@@ -183,15 +184,42 @@ def test_certificate_not_an_object(data):
         RelCloseCertificate.from_dict(data)
 
 
+def steered_system():
+    return IFS.from_maps([
+        Similitude(0.5, 0.1, 1, 0.0, 0.0),
+        Similitude(0.5, 0.3, -1, 0.5, 0.0),
+        Similitude(0.5, 0.3, -1, 0.0, 0.5),
+    ])
+
+
 @pytest.mark.parametrize("target, steps", [(1.0, 7), (4.0, 37)])
 def test_find_pair_steers_from_the_fixed_orientation(target, steps):
     # the collision (2,), (3,) has orientation -1; appending the reflecting
     # symbol 2 turns both words by -0.3 to angle 0, and steering by a = (1,)
     # then counts from 0 (words pinned from the root-recomposing search)
-    ifs = IFS.from_maps([
-        Similitude(0.5, 0.1, 1, 0.0, 0.0),
-        Similitude(0.5, 0.3, -1, 0.5, 0.0),
-        Similitude(0.5, 0.3, -1, 0.0, 0.5),
-    ])
-    cert = find_pair(ifs, 0.3, phi=lambda th: target)
+    cert = find_pair(steered_system(), 0.3, phi=lambda th: target)
     assert cert.words == ((2, 2) + (1,) * steps, (3, 2) + (1,) * steps)
+
+
+def test_find_pair_takes_an_unsteered_hit_without_the_net(monkeypatch):
+    # no 0.15-net of a's orbit fits in 5 points, but the pair (2, 2), (3, 2)
+    # already sits at angle 0, so it needs no copy of a
+    monkeypatch.setattr(relclose, "NET_P_MAX", 5)
+    cert = find_pair(steered_system(), 0.3, phi=lambda th: 0.0)
+    assert cert.words == ((2, 2), (3, 2))
+
+
+def test_find_pair_that_must_steer_still_needs_the_net(monkeypatch):
+    monkeypatch.setattr(relclose, "NET_P_MAX", 5)
+    with pytest.raises(NoNetWithinBound) as e:
+        find_pair(steered_system(), 0.3, phi=lambda th: 4.0)
+    assert str(e.value) == "no-net: no eps-net with p <= 5 for theta1=0.1, eps=0.15"
+
+
+def test_grow_family_of_64_words(ifs):
+    # each inner pair lands on its angle unsteered; the net of its last
+    # rotation word would need more than NET_P_MAX points
+    fam = grow_family(ifs, 1.0, 64)
+    assert len(set(fam.words)) == 64
+    for u, v in fam.pairs():
+        assert check_relclose(ifs, u, v, fam.eps, fam.theta, fam.omega(u, v)).passed

@@ -1,14 +1,17 @@
+import bisect
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from favlab import rotation
-from favlab.errors import NoNetWithinBound, RationalAlpha
-from favlab.ifs import IFS, norm_angle
+from favlab import cli, rotation
+from favlab.errors import NoNetWithinBound, NumericOverflow, PreconditionViolated, RationalAlpha
+from favlab.ifs import IFS, TWO_PI, Similitude, circ_dist, norm_angle
 from favlab.rotation import (
+    NetResult,
     diophantine_profile,
     epsilon_net,
     find_rotation_word,
@@ -118,3 +121,164 @@ def test_steering_suffix(monkeypatch):
         g = ifs.compose((2,) + suffix)
         d = abs(norm_angle(g.theta - phi))
         assert min(d, 2 * math.pi - d) < 0.05
+
+
+# ------------------------------------------- the scan and the search replaced
+# find_rotation_word scanned the powers one k at a time, and epsilon_net
+# doubled p from 1 and bisected, sorting the orbit afresh at every probe.
+# Both are kept here as oracles of the array scan and the three-gap search.
+
+
+def old_find_rotation_word(ifs, eps):
+    rot = [
+        (i, f.theta)
+        for i, f in enumerate(ifs.maps, start=1)
+        if f.orient == 1 and circ_dist(f.theta, 0.0) > 0.0
+    ]
+    if not rot:
+        raise NoNetWithinBound("system has no rotating map")
+    for k in range(1, rotation.ROTATION_K_MAX + 1):
+        for i, th in rot:
+            ang = norm_angle(k * th)
+            if 0.0 < circ_dist(ang, 0.0) < eps:
+                return (i,) * k
+    raise NoNetWithinBound(f"no rotation power within {eps} in {rotation.ROTATION_K_MAX} steps")
+
+
+def old_orbit_max_gap(theta1, p):
+    angles = np.sort((np.arange(1, p + 1, dtype=float) * theta1) % TWO_PI)
+    if p == 1:
+        return TWO_PI
+    gaps = np.diff(angles)
+    wrap = angles[0] + TWO_PI - angles[-1]
+    return float(max(gaps.max(), wrap))
+
+
+def old_epsilon_net(theta1, eps, p_max, d=2.0):
+    if eps <= 0.0 or p_max < 1:
+        raise PreconditionViolated("eps > 0 and p_max >= 1 required")
+    theta1 = norm_angle(theta1)
+    hi = 1
+    while old_orbit_max_gap(theta1, hi) >= eps:
+        if hi >= p_max:
+            raise NoNetWithinBound(
+                f"no eps-net with p <= {p_max} for theta1={theta1:.6g}, eps={eps:.6g}"
+            )
+        hi = min(2 * hi, p_max)
+    lo = max(1, hi // 2)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if old_orbit_max_gap(theta1, mid) < eps:
+            hi = mid
+        else:
+            lo = mid + 1
+    gap = old_orbit_max_gap(theta1, hi)
+    c1_hat = hi * eps ** (d + 1)
+    if not math.isfinite(c1_hat):
+        raise NumericOverflow(f"c1_hat = {hi} * eps^{d + 1} exceeds the float range")
+    return NetResult(p=hi, max_gap=gap, c1_hat=c1_hat)
+
+
+def outcome(fn, *args):
+    """The result with its floats as bits, or the error's repr."""
+    try:
+        res = fn(*args)
+    except Exception as e:
+        return repr(e)
+    return res.p, res.max_gap.hex(), res.c1_hat.hex()
+
+
+FIG1_THETA = 2 * math.pi * ALPHA
+ANGLES = st.one_of(
+    st.floats(0.0, 2 * math.pi),
+    st.floats(1e-9, 1e-3),  # tiny
+    st.floats(1e-9, 1e-3).map(lambda t: 2 * math.pi - t),  # near 2*pi
+    st.integers(1, 60).map(lambda k: k * FIG1_THETA),
+    st.tuples(st.integers(1, 40), st.integers(1, 40)).map(lambda t: math.pi * t[0] / t[1]),
+    st.just(0.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ANGLES,
+    st.floats(-5.0, 1.0).map(lambda x: 10.0**x),
+    st.one_of(st.integers(1, 50), st.sampled_from([1_000, 20_000, 200_000])),
+)
+@example(FIG1_THETA, 0.1, 1_000_000)  # the README's favlab net
+@example(math.pi / 2, 0.1, 10_000)  # a rational angle: the expansion ends
+@example(0.0, 7.0, 10)  # eps above 2*pi: one point
+@example(1.0, math.inf, 10)
+@example(1.0, math.nan, 10)
+def test_epsilon_net_matches_the_doubling_search(theta1, eps, p_max):
+    assert outcome(epsilon_net, theta1, eps, p_max) == outcome(
+        old_epsilon_net, theta1, eps, p_max
+    )
+
+
+@pytest.mark.parametrize("theta1", [FIG1_THETA % TWO_PI, 1.0, 0.3, 5.9, 0.01])
+def test_three_gap_guess_is_the_exact_orbit_answer(theta1):
+    # the largest gap of {k*alpha mod 1 : k = 1..N} in rational arithmetic
+    alpha = Fraction(theta1) / Fraction(TWO_PI)
+    pts, gaps = [], []
+    for n in range(1, 300):
+        bisect.insort(pts, (n * alpha) % 1)
+        gaps.append(max([b - a for a, b in zip(pts, pts[1:])] + [pts[0] + 1 - pts[-1]]))
+    for eps in (2.0, 0.5, 0.1, 0.04, 0.02):
+        e = Fraction(eps) / Fraction(TWO_PI)
+        want = next((n for n, g in enumerate(gaps, start=1) if g < e), None)
+        guess = rotation._three_gap_guess(theta1, eps)
+        assert guess == want if want else guess > len(gaps)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--theta-over-pi", "1+sqrt(2)", "--eps", "0.1"),
+    ("--theta-over-pi", "sqrt(5)", "--eps", "1e-4", "--d", "1.5"),
+    ("--theta-over-pi", "1/2", "--eps", "0.5", "--pmax", "100"),
+])
+def test_net_command_prints_the_doubling_search_result(capsys, argv):
+    code = cli.run(["net", *argv])
+    args = cli.build_parser().parse_args(["net", *argv])
+    theta1 = cli.parse_expr(args.theta_over_pi).value * math.pi
+    try:
+        net = old_epsilon_net(theta1, args.eps, args.pmax, d=args.d)
+        want = (0, f"p {net.p} max_gap {net.max_gap} c1_hat {net.c1_hat}\n", "")
+    except NoNetWithinBound as e:
+        want = (1, "", f"ERROR {e}\n")
+    out, err = capsys.readouterr()
+    assert (code, out, err.split("\n", 1)[1]) == want
+
+
+def _rotating_system(thetas):
+    n = len(thetas)
+    return IFS.from_maps([
+        Similitude(0.4, th, 1, math.cos(i), math.sin(i)) for i, th in enumerate(thetas)
+    ] + [Similitude(0.4, 0.0, 1, 0.0, 0.0)] * (n == 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(ANGLES, min_size=1, max_size=3).map(
+        lambda ts: ts + ts[:1]),  # a repeated angle: the tie goes to the lower index
+    st.floats(-4.0, 0.0).map(lambda x: 10.0**x),
+)
+def test_find_rotation_word_matches_the_scalar_scan(thetas, eps):
+    ifs = _rotating_system(thetas)
+    assert outcome_word(find_rotation_word, ifs, eps) == outcome_word(
+        old_find_rotation_word, ifs, eps
+    )
+
+
+def outcome_word(fn, ifs, eps):
+    try:
+        return fn(ifs, eps)
+    except NoNetWithinBound as e:
+        return repr(e)
+
+
+def test_find_rotation_word_matches_the_scalar_scan_on_fig1():
+    ifs = IFS.from_json("configs/fig1.json")
+    for eps in (0.5, 1e-2, 1e-3, 1e-4, 3e-5, 1e-6):
+        assert outcome_word(find_rotation_word, ifs, eps) == outcome_word(
+            old_find_rotation_word, ifs, eps
+        )

@@ -5,6 +5,7 @@ replace.  That path is copied here: a left fold of ``compose_geoms`` over
 per-symbol geometries, mass bands recomposed word by word from the root and
 an uncached ``pi_point``."""
 
+import itertools
 import math
 import random
 
@@ -86,14 +87,14 @@ def old_band(ifs, r, cap=2_000_000):
     return band
 
 
-def old_pi_point(ifs, u, anchor, tol=1e-12):
+def old_pi_point(ifs, u, anchor, tol=1e-12, g=IDENTITY):
     g_per = old_compose(ifs, anchor.period)
     if g_per.log_r >= 0.0:
         raise ConfigError("anchor period does not contract")
     k = max(1, math.ceil(math.log(tol) / g_per.log_r))
     g_tail = compose_geoms(old_compose(ifs, anchor.prefix), geom_power(g_per, k))
     q = g_tail.apply(ifs.center)
-    g_u = old_compose(ifs, u)
+    g_u = old_compose(ifs, u, g)
     p = g_u.apply(q)
     err = ifs.D * math.exp(min(g_u.log_r + g_tail.log_r, 0.0))
     return p, err
@@ -104,8 +105,8 @@ def word_by_word(monkeypatch):
     """Route IFS.compose, IFS.band and IFS.pi_point through the copies above."""
     monkeypatch.setattr(IFS, "compose", lambda self, u, g=IDENTITY: old_compose(self, u, g))
     monkeypatch.setattr(IFS, "band", lambda self, r, cap=2_000_000: old_band(self, r, cap))
-    monkeypatch.setattr(IFS, "pi_point", lambda self, u, anchor, tol=1e-12:
-                        old_pi_point(self, u, anchor, tol))
+    monkeypatch.setattr(IFS, "pi_point", lambda self, u, anchor, tol=1e-12, g=IDENTITY:
+                        old_pi_point(self, u, anchor, tol, g))
 
 
 def mixed_system(seed, reflect=True):
@@ -237,13 +238,14 @@ ANCHORS = [
 
 @pytest.mark.parametrize("ifs", [fig1(), mixed_system(1)])
 def test_cached_pi_point_is_uncached(ifs):
+    # pi_point(u, anchor, g=compose(s)) is the point of s + u
     words = [(), (1,), (2, 3), (3, 1, 2, 1), (1,) * 40]
     for _ in range(2):  # the second round reads the cache
         for anchor in ANCHORS:
             for tol in (1e-6, 1e-12, 1e-15):
-                for u in words:
-                    (x, y), err = ifs.pi_point(u, anchor, tol=tol)
-                    (ox, oy), oerr = old_pi_point(ifs, u, anchor, tol=tol)
+                for s, u in itertools.product([(), (2, 1), (1,) * 30], words):
+                    (x, y), err = ifs.pi_point(u, anchor, tol=tol, g=ifs.compose(s))
+                    (ox, oy), oerr = old_pi_point(ifs, s + u, anchor, tol=tol)
                     assert (x.hex(), y.hex(), err.hex()) == (ox.hex(), oy.hex(), oerr.hex())
 
 
