@@ -3,39 +3,42 @@ schedule, bound curves and the sweep-CSV reader of the decay fit.
 
 A sweep takes one of two paths, chosen from the input alone.
 
-The projection recursion serves the one-rotation-class systems of the
-paper's last theorem, fig1 among them: the default enclosing-disk body,
-every ratio exactly equal, and every map that is not a pure homothety
-(theta 0, orientation +1) sharing one (theta, orientation).  A map is
-linear, so the projected level-j cover obeys
-P_j(phi) = U_i r P_{j-1}(o_i (phi - theta_i)) + <e_phi, t_i>, and only
-merged components pass from one level to the next; no cover is built.  The
-directions a level needs are angle keys (s, k), the angle s phi + k theta,
-at most n - j + 1 of them at level j of a pass to level n, and that one pass
-yields every requested level.  One level step serves a block of angles and
+The projection recursion serves every system and body, disk or hull, whose
+angle-key bookkeeping fits MERGE_CAP.  A map is linear, so the projected
+level-j cover obeys P_j(phi) = U_i r_i P_{j-1}(o_i (phi - theta_i)) +
+<e_phi, t_i>, and only merged components pass from one level to the next;
+no cover is built.  The directions a level needs are angle keys
+(s, c_1..c_q), the angle s phi + sum_k c_k theta_k over the q distinct
+(theta, orientation) classes of the maps that are not pure homotheties; at
+most n - j + 1 keys at level j of a pass to level n for one class, and one
+pass yields every requested level.  Level 0 is the body's own projection at
+each key's direction: the disk's centre projection, or the hull's
+``HullBody.support_range``.  One level step serves a block of angles and
 every key of the level: each (angle, key) row gathers its children's rows,
 padded with +inf, and one row-wise ``merge_intervals`` call merges them
 all.  A block starts as a part's angles and halves, down to one angle, before
 any step whose padded intake would pass BLOCK_CAP; a one-angle block past it
 merges its rows in groups under the cap.  Its depth is bounded by MERGE_CAP
-(level-key merges per angle, checked before any work) and by INTERVAL_CAP
+(level-key merges per angle, counted before any work) and by INTERVAL_CAP
 on the intervals one angle's level takes in, not by m^n: fig1 runs to
 n = 18 and stops at n = 19.
 
-Every other system takes the level sweeper: the level-n cover is one
-``CylinderBatch``, expanded once per level, and each angle costs one
-projection and one union of its interval endpoints, at most INTERVAL_CAP =
-2^24 intervals.  A hull body's intervals come from ``HullBody.support_range``,
-which looks up the few vertices that can be extreme in each direction
-instead of projecting all V vertices of every cylinder; its endpoints are
-bit-identical to the dense N x V form.
+The level sweeper serves the rest: systems whose keys pass MERGE_CAP (many
+classes or deep levels) and passes the recursion refuses although m^n fits
+INTERVAL_CAP.  Its level-n cover is one ``CylinderBatch``, expanded once per
+level, and each angle costs one projection and one union of its interval
+endpoints, at most INTERVAL_CAP = 2^24 intervals.  A hull body's intervals
+come from ``HullBody.support_range``, which looks up the few vertices that
+can be extreme in each direction instead of projecting all V vertices of
+every cylinder; its endpoints are bit-identical to the dense N x V form.
+It is also the cover of ``svg.render_svg`` and the tests' oracle.
 
 FAVLAB_THREADS (an integer >= 1, default min(4, CPUs)) sets the threads of
 ``_thread_map``, the one place that builds a thread pool, one per sweep: the
 sweeper maps each level's angles over it, the recursion parts of its angles.
 
-The recursion's lengths differ from the sweeper's in the last bits (a
-centre projection rounds differently from projecting each cylinder; on
+The recursion's lengths differ from the sweeper's in the last bits (the
+body is projected once per direction rather than once per cylinder; on
 fig1 at n <= 12 by at most 6.2e-14 relative), and both are bit-identical
 across worker counts."""
 
@@ -160,6 +163,12 @@ def _thread_map(workers, tasks):
         yield pool.map
 
 
+def _check_cover(m, n):
+    """Refuse a level whose m^n cylinders pass INTERVAL_CAP."""
+    if exceeds(m, n, INTERVAL_CAP):
+        raise LevelTooLarge(f"{m}^{n} intervals exceed cap {INTERVAL_CAP}")
+
+
 class _LevelSweeper:
     """Incrementally maintained level-n cylinder cover for one system.  A disk
     body's cover is anchored at the disk's centre, a hull body's at the
@@ -173,8 +182,7 @@ class _LevelSweeper:
         self.cover = CylinderBatch.at(self.body.center if self._disk else (0.0, 0.0))
 
     def advance_to(self, n):
-        if exceeds(self.ifs.m, n, INTERVAL_CAP):
-            raise LevelTooLarge(f"{self.ifs.m}^{n} intervals exceed cap {INTERVAL_CAP}")
+        _check_cover(self.ifs.m, n)
         while self.n < n:
             self.cover = self.cover.children(self.ifs.maps)
             self.n += 1
@@ -240,66 +248,75 @@ def _stack(parts):
 
 
 class _ProjectionRecursion:
-    """Projected lengths of the disk cover of a one-rotation-class system by
-    P_j(phi) = U_i r P_{j-1}(o_i (phi - theta_i)) + <e_phi, t_i>, passing only
-    merged components from level to level.
+    """Projected lengths of the level covers of a system and body by
+    P_j(phi) = U_i r_i P_{j-1}(o_i (phi - theta_i)) + <e_phi, t_i>, passing
+    only merged components from level to level.
 
-    A direction is an angle key (s, k), the angle s phi + k theta of the
-    class's (theta, o): the class map sends the key to (o s, o (k - 1)) and a
-    homothety keeps it.  ``keys[j]`` holds, per key of level j, the key each
-    map reads at level j - 1, and ``children[j]`` the row of that key in
-    level j - 1; the pass to the top level needs (1, 0) there and at every
-    requested level.
+    A direction is an angle key (s, c_1..c_q), one count per class, the
+    angle s phi + sum_k c_k theta_k over the classes' angles ``thetas``: a
+    map of class k and orientation o sends the key to o (s, c - e_k) and a
+    homothety keeps it.  ``keys[j]`` holds the keys of level j as rows, in
+    ascending order, and ``children[j]`` per key of level j the row in level
+    j - 1 that each map reads; the pass to the top level needs the home key
+    (1, 0..0) there and at every requested level.  ``turn[j]`` is each key's
+    class sum, formed once per level, so that a key's direction does not
+    depend on the block, part or worker that reads it.
 
-    A component is its extreme centre projections; its endpoints are formed
-    only to merge and to measure, as c - h and c + h with the level sweeper's
-    own half-width h = r_j R0 (``half[j]``), r_j built as
-    ``CylinderBatch.children`` builds it.  One level step serves a block of angles and every key at once: each
-    (angle, key) row gathers its children's padded rows, scales and shifts
-    them, and one row-wise ``merge_intervals`` merges them all."""
+    Where every ratio is equal and the body is a disk, a component is its
+    extreme centre projections; its endpoints are formed only to merge and
+    to measure, as c - h and c + h with the level sweeper's own half-width
+    h = r_j R (``half[j]``), r_j built as ``CylinderBatch.children`` builds
+    it.  Otherwise a component is its endpoints (``half[j]`` is 0), and each
+    map scales its children by its own ratio.  One level step serves a
+    block of angles and every key at once: each (angle, key) row gathers its
+    children's padded rows, scales and shifts them, and one row-wise
+    ``merge_intervals`` merges them all."""
 
-    def __init__(self, ifs, theta, orient, ns):
-        self.ifs, self.theta, self.ns = ifs, theta, set(ns)
-        homothety = [f.theta == 0.0 and f.orient == 1 for f in ifs.maps]
-        level = {(1, 0)}
-        keys, merges = [], 0
-        for j in range(max(ns), 0, -1):
-            merges += len(level)
-            if merges > MERGE_CAP:
-                raise LevelTooLarge(
-                    f"level {max(ns)} needs over {MERGE_CAP} angle-key merges per angle"
-                )
-            rows = [
-                ((s, k), [(s, k) if h else (orient * s, orient * (k - 1)) for h in homothety])
-                for s, k in sorted(level)
-            ]
-            keys.append(rows)
-            level = {child for _, children in rows for child in children}
-            if j - 1 in self.ns:
-                level.add((1, 0))
-        keys.append([(key, []) for key in sorted(level)])
-        self.keys = keys[::-1]
-        self.children = [None]
-        for below, rows in zip(self.keys, self.keys[1:]):
-            row = {key: q for q, (key, _) in enumerate(below)}
-            self.children.append(np.array([[row[child] for child in children] for _, children in rows]))
-        self.half = [ifs.R0]
-        r_j = 1.0
-        for _ in self.keys[1:]:
-            r_j = ifs.maps[0].r * r_j
-            self.half.append(r_j * ifs.R0)
+    def __init__(self, ifs, body, ns, thetas, keys, children):
+        self.ifs, self.body, self.ns, self.keys, self.children = ifs, body, ns, keys, children
+        self.r = np.array([f.r for f in ifs.maps])
+        self.turn = []
+        for level in keys:
+            turn = level[:, 1] * thetas[0] if thetas else np.zeros(len(level))
+            for k, theta in enumerate(thetas[1:], start=2):
+                turn += level[:, k] * theta
+            self.turn.append(turn)
+        self.half = [0.0] * len(keys)
+        if isinstance(body, DiskBody) and all(f.r == ifs.maps[0].r for f in ifs.maps):
+            r_j = 1.0
+            for j in range(len(keys)):
+                self.half[j] = r_j * body.radius
+                r_j = ifs.maps[0].r * r_j
 
     @classmethod
     def of(cls, ifs, ns, body):
-        """The recursion for an eligible (ifs, ns, body), else None."""
-        if body is not None or not ns or min(ns) < 0:
+        """The recursion of (ifs, ns, body), the enclosing disk where body is
+        None; None where ns is empty or negative, or where its angle keys
+        would pass MERGE_CAP merges per angle."""
+        ns = set(ns)
+        if not ns or min(ns) < 0:
             return None
-        if any(f.r != ifs.maps[0].r for f in ifs.maps):
-            return None
-        classes = {(f.theta, f.orient) for f in ifs.maps} - {(0.0, 1)}
-        if len(classes) > 1:
-            return None
-        return cls(ifs, *(classes.pop() if classes else (0.0, 1)), ns)
+        # the non-homothety (theta, orient) classes in order of appearance
+        classes = [c for c in dict.fromkeys((f.theta, f.orient) for f in ifs.maps) if c != (0.0, 1)]
+        # map i sends a key to o_i (key - step_i), step_i its class's unit
+        # vector, or 0 for a homothety
+        steps = np.array([[(f.theta, f.orient) == c for c in [None, *classes]] for f in ifs.maps], dtype=np.intp)
+        orients = np.array([[f.orient] for f in ifs.maps])
+        home = np.eye(1, 1 + len(classes), dtype=np.intp)
+        level, keys, children, merges = home, [], [], 0
+        for j in range(max(ns), 0, -1):
+            merges += len(level)
+            if merges > MERGE_CAP:
+                return None
+            below = (orients * (level[:, None, :] - steps)).reshape(-1, 1 + len(classes))
+            if j - 1 in ns:
+                below = np.vstack((below, home))
+            keys.append(level)
+            level, inverse = np.unique(below, axis=0, return_inverse=True)
+            children.append(inverse.reshape(-1)[: len(keys[-1]) * ifs.m].reshape(-1, ifs.m))
+        keys.append(level)
+        body = body or DiskBody(ifs.center, ifs.R0)
+        return cls(ifs, body, ns, [theta for theta, _ in classes], keys[::-1], [None] + children[::-1])
 
     def sweep(self, phis, workers):
         """(lengths, components): for each requested level, the length and
@@ -335,22 +352,23 @@ class _ProjectionRecursion:
             list(mapper(run, cuts, cuts[1:]))
         return out
 
-    def _directions(self, phis, j):
-        """cos and sin of the direction of every (angle, key) row of level j."""
-        keys = [key for key, _ in self.keys[j]]
-        angles = [s * phi + k * self.theta for phi in phis for s, k in keys]
-        shape = (len(phis), len(keys))
-        return (
-            np.array([math.cos(a) for a in angles]).reshape(shape),
-            np.array([math.sin(a) for a in angles]).reshape(shape),
-        )
+    def _angles(self, phis, j):
+        """The direction s phi + turn of every (angle, key) row of level j,
+        as an (angles, keys) array."""
+        return self.keys[j][:, 0] * np.asarray(phis, dtype=float)[:, None] + self.turn[j]
 
     def _base(self, phis, start, stop):
-        """Level 0 for angles start:stop: the disk projects to one interval."""
-        c, s = self._directions(phis[start:stop], 0)
-        cx, cy = self.ifs.center
-        p = (cx * c + cy * s).reshape(-1, 1)
-        return _Block(start, stop, 0, IntervalSet(p, p, self.half[0]), np.ones(len(p), dtype=np.intp))
+        """Level 0 for angles start:stop: the body projects to one interval
+        in each key's direction."""
+        angle = self._angles(phis[start:stop], 0).reshape(-1)
+        if isinstance(self.body, DiskBody):
+            (cx, cy), radius = self.body.center, self.body.radius
+            p = cx * np.cos(angle) + cy * np.sin(angle)
+            lo, hi = (p, p) if self.half[0] else (p - radius, p + radius)
+        else:
+            lo, hi = self.body.support_range(angle)
+        comps = IntervalSet(lo.reshape(-1, 1), hi.reshape(-1, 1), self.half[0])
+        return _Block(start, stop, 0, comps, np.ones(len(angle), dtype=np.intp))
 
     def _advance(self, block, phis, out):
         """Record the block's requested levels in out while stepping it up to
@@ -375,8 +393,8 @@ class _ProjectionRecursion:
             over = np.flatnonzero(size > INTERVAL_CAP)
             if len(over):
                 raise LevelTooLarge(f"level {j} merges {size[over[0]]} intervals, over cap {INTERVAL_CAP}")
-            c, s = self._directions(phis[block.start : block.stop], j)
-            shift = tx * c[..., None] + ty * s[..., None]
+            angle = self._angles(phis[block.start : block.stop], j)[..., None]
+            shift = tx * np.cos(angle) + ty * np.sin(angle)
             rows, shift = rows.reshape(-1, len(maps)), shift.reshape(-1, len(maps))
             group = max(1, BLOCK_CAP // row_intake)
             parts = [
@@ -388,12 +406,12 @@ class _ProjectionRecursion:
 
     def _merge(self, block, rows, shift, j):
         """Merge the given (angle, key) rows of level j, each the union of its
-        children's rows (rows[q, i] for map i) scaled by r and shifted by
+        children's rows (rows[q, i] for map i) scaled by r_i and shifted by
         shift[q, i]."""
         width = block.count[rows].max()
         los, his = block.comps.los[:, :width][rows], block.comps.his[:, :width][rows]
         for ends in (los, his):
-            ends *= self.ifs.maps[0].r
+            ends *= self.r[:, None]
             ends += shift[..., None]
         los, his = los.reshape(len(rows), -1), his.reshape(len(rows), -1)
         comps = merge_intervals(los, his, half=self.half[j])
@@ -408,8 +426,8 @@ class _ProjectionRecursion:
     def _record(self, block, out):
         if block.j not in self.ns:
             return
-        keys = len(self.keys[block.j])
-        home = [key for key, _ in self.keys[block.j]].index((1, 0))
+        level = self.keys[block.j]
+        keys, home = len(level), np.flatnonzero((level[:, 0] == 1) & (level[:, 1:] == 0).all(axis=1))[0]
         comps = block.comps
         for a, (lo, hi, count) in enumerate(
             zip(comps.los[home::keys], comps.his[home::keys], block.count[home::keys])
@@ -446,15 +464,22 @@ class FavardResult:
 
 def projection_sweep(ifs, ns, thetas, body=None, workers=None):
     """Per-theta lengths for each level in ns (ascending), by the projection
-    recursion where the system is eligible and by the level sweeper
-    otherwise.  The result is a deterministic function of (ifs, ns, thetas)
-    regardless of worker count."""
+    recursion where its angle keys fit MERGE_CAP, and by the level sweeper
+    where they do not, or where the recursion passes INTERVAL_CAP on a pass
+    whose m^n intervals the sweeper takes.  The result is a deterministic
+    function of (ifs, ns, thetas, body) regardless of worker count."""
     ns = sorted(ns)
     thetas = list(thetas)
     workers = workers or default_workers()
     recursion = _ProjectionRecursion.of(ifs, ns, body)
     if recursion is not None:
-        return recursion.sweep(thetas, workers)[0]
+        try:
+            return recursion.sweep(thetas, workers)[0]
+        except LevelTooLarge:
+            if exceeds(ifs.m, ns[-1], INTERVAL_CAP):
+                raise
+    if ns:
+        _check_cover(ifs.m, ns[-1])  # before any level is swept
     out = {}
     sweeper = _LevelSweeper(ifs, body=body)
     with _thread_map(workers, len(thetas)) as mapper:

@@ -6,11 +6,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from favlab.errors import (
     DegenerateFit,
+    HullNotInvariant,
     LevelTooLarge,
     NonHomogeneous,
     NumericOverflow,
@@ -454,27 +455,33 @@ def test_reflected_homogeneous_disk_sweep_takes_recursive_path(monkeypatch):
     assert forms == ["rows"] * 4
 
 
-def _assert_endpoint_sweeps(cases, monkeypatch):
+def _assert_recursive_sweeps(cases, monkeypatch):
     """Sweep each (system, body) at levels 1 and 4 and two angles: the
-    recursion does not serve these systems, so every merge is an endpoint
-    one, bit-identical to `_merge_oracle`, and each length is the oracle's."""
+    recursion serves these systems, with one row-wise merge per level; the
+    level sweeper's endpoint merges stay bit-identical to `_merge_oracle`,
+    and each length is within 1e-13 of the oracle's, with as many
+    components."""
     thetas = [0.3, 1.9]
     forms = _record_merges(monkeypatch)
     for system, body in cases:
-        lengths = projection_sweep(system, [1, 4], thetas, body=body, workers=1)
+        forms.clear()
+        recursion = FAVARD._ProjectionRecursion.of(system, [1, 4], body)
+        lengths, components = recursion.sweep(thetas, 1)
+        swept = projection_sweep(system, [1, 4], thetas, body=body, workers=1)
+        assert all(swept[n].tobytes() == lengths[n].tobytes() for n in (1, 4))
+        assert forms == ["rows"] * 8
         sweeper = _LevelSweeper(system, body=body)
         for n in (1, 4):
             sweeper.advance_to(n)
-            for theta, length in zip(thetas, lengths[n]):
+            for theta, length, count in zip(thetas, lengths[n], components[n]):
                 oracle = _merge_oracle(*sweeper.intervals_at(theta))
                 _assert_same_bits(sweeper.merged_at(theta), oracle)
-                assert length == float((oracle[1] - oracle[0]).sum())
-    assert forms == ["endpoint"] * (2 * 2 * 2 * len(cases))
+                assert abs(length - float((oracle[1] - oracle[0]).sum())) <= 1e-13 * length
+                assert count == len(oracle[0])
 
 
-# The next two tests keep the names they had when homogeneous disk covers
-# and hull or mixed-ratio covers took separate union forms; both now take
-# the one endpoint form.
+# The next two tests keep the names they had when two-class, hull and
+# mixed-ratio covers took the level sweeper; all now take the recursion.
 @pytest.mark.parametrize(
     "theta, orient", [(2.0, 1), (1.0, -1)], ids=["two-rotations", "rotation-and-reflection"]
 )
@@ -486,7 +493,7 @@ def test_two_class_homogeneous_disk_sweep_takes_equal_width_path(theta, orient, 
             Similitude(r=0.4, theta=theta, orient=orient, tx=0.6, ty=0.1),
         ]
     )
-    _assert_endpoint_sweeps([(two_classes, None)], monkeypatch)
+    _assert_recursive_sweeps([(two_classes, None)], monkeypatch)
 
 
 def test_hull_and_mixed_ratio_sweeps_take_general_path(ifs, monkeypatch):
@@ -496,13 +503,27 @@ def test_hull_and_mixed_ratio_sweeps_take_general_path(ifs, monkeypatch):
             Similitude(r=0.25, theta=0.3, orient=1, tx=0.5, ty=0.0),
         ]
     )
-    _assert_endpoint_sweeps([(ifs, attractor_hull(ifs)), (mixed, None)], monkeypatch)
+    _assert_recursive_sweeps([(ifs, attractor_hull(ifs)), (mixed, None)], monkeypatch)
 
 
 # ------------------------------------------------------------ projection recursion
 
 
 FAVARD = importlib.import_module("favlab.favard")
+
+
+def _centred(maps):
+    """The system of maps conjugated by the translation to the centre c of
+    its enclosing disk (t_i -> F_i(c) - c), so that the disk is centred at
+    the origin."""
+    cx, cy = IFS.from_maps(maps).center
+    return IFS.from_maps(
+        [
+            Similitude(r=f.r, theta=f.theta, orient=f.orient,
+                       tx=f.apply((cx, cy))[0] - cx, ty=f.apply((cx, cy))[1] - cy)
+            for f in maps
+        ]
+    )
 
 
 @st.composite
@@ -531,15 +552,7 @@ def one_class_systems(draw):
                 ty=draw(coord),
             )
         )
-    # conjugate by the translation to the centre c: t_i -> F_i(c) - c
-    cx, cy = IFS.from_maps(maps).center
-    return IFS.from_maps(
-        [
-            Similitude(r=f.r, theta=f.theta, orient=f.orient,
-                       tx=f.apply((cx, cy))[0] - cx, ty=f.apply((cx, cy))[1] - cy)
-            for f in maps
-        ]
-    )
+    return _centred(maps)
 
 
 @settings(max_examples=60, deadline=None)
@@ -556,6 +569,65 @@ def test_recursion_matches_level_sweeper(system, thetas):
             oracle = sweeper.merged_at(theta)
             assert components[n][a] == len(oracle), (n, theta)
             assert abs(lengths[n][a] - oracle.total_length) <= 1e-12 * oracle.total_length
+
+
+@st.composite
+def generic_systems(draw):
+    """Systems of m = 2..4 maps in 1..m (theta, orient) classes, at least
+    one a reflection, with ratios in [max(0.25, 1/m), 0.6] each drawn on its
+    own, so that the similarity dimension is at least 1 and covers overlap
+    (below it a level's length shrinks like (m r)^n while the rounding of
+    its endpoints does not), and the enclosing disk centred at the
+    origin."""
+    m = draw(st.integers(2, 4))
+    angle, coord = st.floats(0.0, 2.0 * math.pi, exclude_max=True), st.floats(-1.0, 1.0)
+    ratio = st.floats(max(0.25, 1.0 / m), 0.6)
+    classes = [(draw(angle), draw(st.sampled_from([1, -1]))) for _ in range(draw(st.integers(1, m)))]
+    classes[0] = (classes[0][0], -1)
+    classes += [draw(st.sampled_from(classes)) for _ in range(m - len(classes))]
+    return _centred(
+        [
+            Similitude(r=draw(ratio), theta=theta, orient=orient, tx=draw(coord), ty=draw(coord))
+            for theta, orient in classes
+        ]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    generic_systems(),
+    st.lists(st.one_of(st.sampled_from([0.0, math.pi / 2]), st.floats(0.0, math.pi)), min_size=1, max_size=3),
+)
+def test_generic_recursion_matches_level_sweeper(system, thetas):
+    bodies = [None]
+    try:
+        hull = attractor_hull(system)
+    except HullNotInvariant:
+        hull = None
+    if hull is not None:
+        # a flat hull projects to lengths of rounding noise at some angle
+        lo, hi = hull.support_range(np.linspace(0.0, math.pi, 721))
+        if (hi - lo).min() > 1e-3 * (hi - lo).max():
+            bodies.append(hull)
+    event(f"bodies: {len(bodies)}")
+    levels = range(0, 8)
+    for body in bodies:
+        lengths, components = FAVARD._ProjectionRecursion.of(system, levels, body).sweep(thetas, 1)
+        sweeper = _LevelSweeper(system, body=body)
+        for n in levels:
+            sweeper.advance_to(n)
+            for a, theta in enumerate(thetas):
+                oracle = sweeper.merged_at(theta)
+                assert abs(lengths[n][a] - oracle.total_length) <= 1e-12 * oracle.total_length
+                # equal counts, except where two cylinder intervals touch to
+                # within rounding (r = 1/3 with translations 0 and 1 touch
+                # exactly): there either side may read a gap
+                los, his = sweeper.intervals_at(theta)
+                slack = 1e-13 * (his.max() - los.min())
+                wide = len(merge_intervals(los - slack, his + slack))
+                narrow = len(merge_intervals(los + slack, his - slack))
+                assert wide <= components[n][a] <= narrow, (n, theta)
+                event(f"count exact: {wide == narrow}")
 
 
 def test_fig1_recursion_matches_live_sweeper(ifs):
@@ -587,8 +659,8 @@ def test_recursion_eligibility(ifs):
     )
     assert of(ifs, [3], None) is not None
     assert of(homotheties, [3], None) is not None
-    assert of(ifs, [3], attractor_hull(ifs)) is None
-    assert of(mixed, [3], None) is None
+    assert of(ifs, [3], attractor_hull(ifs)) is not None
+    assert of(mixed, [3], None) is not None
     assert of(ifs, [], None) is None
     # fig1: one rotating map, so level j of a pass to 6 reads 7 - j keys
     assert [len(rows) for rows in of(ifs, [6], None).keys] == [7, 6, 5, 4, 3, 2, 1]
@@ -600,6 +672,18 @@ def test_recursion_eligibility(ifs):
         ]
     )
     assert [len(rows) for rows in of(reflected, [6], None).keys] == [2] * 6 + [1]
+    # four classes, one a reflection: keys (s, c_1..c_4), and map i reads
+    # o_i (s, c - e_i) of each key
+    generic = _seeded_reflected_system(5)
+    recursion = of(generic, [2, 5], None)
+    assert [rows.shape[1] for rows in recursion.keys] == [5] * 6
+    assert recursion.keys[5].tolist() == [[1, 0, 0, 0, 0]]
+    for below, rows, children in zip(recursion.keys, recursion.keys[1:], recursion.children[1:]):
+        for i, f in enumerate(generic.maps):
+            assert (below[children[:, i]] == f.orient * (rows - np.eye(5, dtype=int)[1 + i])).all()
+    # a pass to 11 merges 3,686 keys per angle; one to 12 passes MERGE_CAP
+    assert of(generic, [11], None) is not None
+    assert of(generic, [12], None) is None
 
 
 @pytest.mark.parametrize("system", ["fig1", "reflected"])
@@ -631,41 +715,51 @@ def test_recursive_sweep_bit_identical_across_threads(ifs, system, monkeypatch):
 def _per_angle_merged_at(recursion, phi):
     """[oracle] The per-angle pass of the projection recursion as it stood
     before one level step served a block of angles: yields (n, union of the
-    projected level-n cover at angle phi) in the centre form, from one 1-D
-    merge per (level, angle key)."""
-    ifs, theta = recursion.ifs, recursion.theta
-    r, (cx, cy), maps = ifs.maps[0].r, ifs.center, ifs.maps
+    projected level-n cover at angle phi), from one 1-D merge per (level,
+    angle key), with the keys as tuples, each direction from math.cos and
+    math.sin, and each map's children formed from the map itself."""
+    ifs, body, maps = recursion.ifs, recursion.body, recursion.ifs.maps
+    classes = list(dict.fromkeys((f.theta, f.orient) for f in maps if (f.theta, f.orient) != (0.0, 1)))
+    home = (1,) + (0,) * len(classes)
+    centre_form = isinstance(body, DiskBody) and len({f.r for f in maps}) == 1
+
+    def child(key, f):
+        if (f.theta, f.orient) == (0.0, 1):
+            return key
+        k = 1 + classes.index((f.theta, f.orient))
+        return tuple(f.orient * (c - (i == k)) for i, c in enumerate(key))
 
     def direction(key):
-        a = key[0] * phi + key[1] * theta
-        return math.cos(a), math.sin(a)
+        turn = key[1] * classes[0][0] if classes else 0.0
+        for c, (theta, _) in zip(key[2:], classes[1:]):
+            turn += c * theta
+        return key[0] * phi + turn
 
     comps = {}
-    for key, _ in recursion.keys[0]:
-        c, s = direction(key)
-        p = np.array([cx * c + cy * s])
-        comps[key] = IntervalSet(p, p, ifs.R0)
+    for key in map(tuple, recursion.keys[0].tolist()):
+        a = direction(key)
+        if isinstance(body, DiskBody):
+            p = np.array([body.center[0] * math.cos(a) + body.center[1] * math.sin(a)])
+            comps[key] = IntervalSet(p, p, body.radius) if centre_form else IntervalSet(p - body.radius, p + body.radius)
+        else:
+            comps[key] = IntervalSet(*body.support_range(np.array([a])))
     if 0 in recursion.ns:
-        yield 0, comps[(1, 0)]
+        yield 0, comps[home]
     r_j = 1.0
     for j, rows in enumerate(recursion.keys[1:], start=1):
-        r_j = r * r_j
-        half = r_j * ifs.R0
+        r_j = maps[0].r * r_j
+        half = r_j * body.radius if centre_form else 0.0
         level = {}
-        for key, children in rows:
-            c, s = direction(key)
-            parts = [comps[child] for child in children]
-            shift = np.repeat([f.tx * c + f.ty * s for f in maps], [len(p) for p in parts])
-            los = np.concatenate([p.los for p in parts])
-            his = np.concatenate([p.his for p in parts])
-            los *= r
-            los += shift
-            his *= r
-            his += shift
+        for key in map(tuple, rows.tolist()):
+            a = direction(key)
+            c, s = math.cos(a), math.sin(a)
+            parts = [(comps[child(key, f)], f.r, f.tx * c + f.ty * s) for f in maps]
+            los = np.concatenate([p.los * r + shift for p, r, shift in parts])
+            his = np.concatenate([p.his * r + shift for p, r, shift in parts])
             level[key] = merge_intervals(los, his, half=half)
         comps = level
         if j in recursion.ns:
-            yield j, comps[(1, 0)]
+            yield j, comps[home]
 
 
 def _assert_matches_per_angle_pass(recursion, thetas, sweep):
@@ -715,24 +809,44 @@ def test_block_splits_keep_bits(ifs, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "angles, workers", [(13, 1), (13, 2), (13, 3), (13, 8), (3, 8)],
-    ids=["13x1", "13x2", "13x3", "13x8", "3x8"],
+    "system, angles, workers",
+    [("fig1", 13, 1), ("fig1", 13, 2), ("fig1", 13, 3), ("fig1", 13, 8), ("fig1", 3, 8),
+     ("hull", 13, 1), ("hull", 13, 2), ("hull", 13, 8)],
+    ids=["13x1", "13x2", "13x3", "13x8", "3x8", "hull-13x1", "hull-13x2", "hull-13x8"],
 )
 @pytest.mark.parametrize("cap", [FAVARD.BLOCK_CAP, 2000, 1], ids=["cap-default", "cap-2000", "cap-1"])
-def test_parts_keep_bits(ifs, angles, workers, cap, monkeypatch):
+def test_parts_keep_bits(ifs, system, angles, workers, cap, monkeypatch):
     # 13 angles cut into 1, 4, 6 and 13 uneven parts, and 3 angles at more
     # workers than angles, each at blocks that never split, split and end
     # at one angle: lengths and component counts are those of one part with
-    # one unsplit block, and of the pass per angle
+    # one unsplit block, and of the pass per angle; for fig1's disk cover,
+    # and for the hull cover of a four-class system with a reflection
     thetas = [(j + 0.5) * math.pi / angles for j in range(angles)]
-    recursion = FAVARD._ProjectionRecursion.of(ifs, range(0, 10), None)
+    if system == "hull":
+        ifs = _seeded_reflected_system(5)
+        recursion = FAVARD._ProjectionRecursion.of(ifs, range(0, 7), attractor_hull(ifs))
+    else:
+        recursion = FAVARD._ProjectionRecursion.of(ifs, range(0, 10), None)
     whole = recursion.sweep(thetas, 1)
     _assert_matches_per_angle_pass(recursion, thetas, whole)
     monkeypatch.setattr(FAVARD, "BLOCK_CAP", cap)
     parts = recursion.sweep(thetas, workers)
-    for n in range(0, 10):
+    for n in recursion.ns:
         assert parts[0][n].tobytes() == whole[0][n].tobytes()
         assert parts[1][n].tobytes() == whole[1][n].tobytes()
+
+
+@pytest.mark.parametrize("hull", [False, True], ids=["disk", "hull"])
+def test_levels_do_not_depend_on_the_top_level(hull):
+    # a pass to 8 reads more keys at every level than a pass to 5, but the
+    # lengths of levels 2..5 keep their bits, at any worker count
+    system = _seeded_reflected_system(5)
+    body = attractor_hull(system) if hull else None
+    thetas = [(j + 0.5) * math.pi / 8 for j in range(8)] + [0.0, math.pi / 2]
+    short = projection_sweep(system, range(2, 6), thetas, body=body, workers=1)
+    deep = projection_sweep(system, range(2, 9), thetas, body=body, workers=2)
+    for n in range(2, 6):
+        assert short[n].tobytes() == deep[n].tobytes()
 
 
 def test_one_worker_merge_calls_on_fig1_grid(ifs, monkeypatch):
@@ -745,17 +859,71 @@ def test_one_worker_merge_calls_on_fig1_grid(ifs, monkeypatch):
 
 
 def test_recursion_caps_merges_before_any_work(ifs, monkeypatch):
+    # past MERGE_CAP no recursion is built, and the level sweeper refuses
+    # the level before any work
     forms = _record_merges(monkeypatch)
-    with pytest.raises(LevelTooLarge, match="angle-key merges"):
+    with pytest.raises(LevelTooLarge, match=r"3\^100000 intervals exceed cap"):
         projection_sweep(ifs, [100_000], [0.3], workers=1)
-    with pytest.raises(LevelTooLarge, match="angle-key merges"):
+    with pytest.raises(LevelTooLarge, match="intervals exceed cap"):
         projection_sweep(corner_ifs(), [10**30], [0.3], workers=1)
+    # the sweeper refuses the top level before it sweeps the lower ones
+    with pytest.raises(LevelTooLarge, match=r"3\^100000 intervals exceed cap"):
+        projection_sweep(ifs, range(2, 100_001), [0.3], workers=1)
     assert forms == []
-    # fig1's pass to level n merges n (n + 1) / 2 keys per angle
+    # fig1's pass to level n merges n (n + 1) / 2 keys per angle; past the
+    # cap the level sweeper takes the pass
     monkeypatch.setattr(FAVARD, "MERGE_CAP", 15)
     projection_sweep(ifs, [5], [0.3], workers=1)
-    with pytest.raises(LevelTooLarge):
-        projection_sweep(ifs, [6], [0.3], workers=1)
+    assert forms == ["rows"] * 5
+    forms.clear()
+    assert FAVARD._ProjectionRecursion.of(ifs, [6], None) is None
+    lengths = projection_sweep(ifs, [6], [0.3], workers=1)
+    assert forms == ["endpoint"]
+    assert lengths[6][0] == _sweeper_at(ifs, 6).length_at(0.3)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_keys_past_merge_cap_take_the_level_sweeper(workers, monkeypatch):
+    # a rotation and a reflection: the pass to 5 merges 1 + 2 + 4 + 7 + 10
+    # keys per angle, past a cap of 20 (the pass to 4 merges 13), so the
+    # lengths are the level sweeper's bits
+    two_classes = IFS.from_maps(
+        [
+            Similitude(r=0.4, theta=1.0, orient=1, tx=0.0, ty=0.0),
+            Similitude(r=0.4, theta=1.0, orient=-1, tx=0.6, ty=0.1),
+        ]
+    )
+    thetas = [0.0, 0.3, math.pi / 2, 1.9]
+    monkeypatch.setattr(FAVARD, "MERGE_CAP", 20)
+    assert FAVARD._ProjectionRecursion.of(two_classes, [2, 4], None) is not None
+    assert FAVARD._ProjectionRecursion.of(two_classes, [2, 5], None) is None
+    lengths = projection_sweep(two_classes, [2, 5], thetas, workers=workers)
+    for n in (2, 5):
+        swept = np.array([_sweeper_at(two_classes, n).length_at(theta) for theta in thetas])
+        assert lengths[n].tobytes() == swept.tobytes()
+
+
+def test_recursion_refusal_falls_back_where_the_sweeper_fits(monkeypatch):
+    # covers that do not overlap: a pass to 6 takes in 67 intervals at level
+    # 3 over its 10 keys, more than the 2^6 cylinders of level 6, so under
+    # a cap of 64 the recursion refuses and the level sweeper serves the
+    # pass; under 63 both refuse and the recursion's error stands
+    sparse = IFS.from_maps(
+        [
+            Similitude(r=0.2, theta=1.0, orient=1, tx=0.0, ty=0.0),
+            Similitude(r=0.2, theta=2.5, orient=-1, tx=1.0, ty=0.3),
+        ]
+    )
+    levels = range(0, 7)
+    monkeypatch.setattr(FAVARD, "INTERVAL_CAP", 64)
+    with pytest.raises(LevelTooLarge, match="level 3 merges 67 intervals, over cap 64"):
+        FAVARD._ProjectionRecursion.of(sparse, levels, None).sweep([0.3], 1)
+    lengths = projection_sweep(sparse, levels, [0.3], workers=1)
+    for n in levels:
+        assert lengths[n][0] == _sweeper_at(sparse, n).length_at(0.3)
+    monkeypatch.setattr(FAVARD, "INTERVAL_CAP", 63)
+    with pytest.raises(LevelTooLarge, match="merges .* intervals, over cap 63"):
+        projection_sweep(sparse, levels, [0.3], workers=1)
 
 
 def test_recursion_caps_level_merges_not_the_cover(ifs, monkeypatch):
@@ -869,7 +1037,8 @@ def test_hull_sweep_bit_identical_to_dense(seed):
             assert his.tobytes() == dense_his.tobytes()
             merged = merge_intervals(dense_los, dense_his)
             _assert_same_bits(sweeper.merged_at(theta), (merged.los, merged.his))
-            assert length == merged.total_length
+            # the sweep's lengths come from the recursion
+            assert abs(length - merged.total_length) <= 1e-13 * merged.total_length
 
 
 # ------------------------------------------------------------ schedule
