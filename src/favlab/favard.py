@@ -28,10 +28,10 @@ classes or deep levels) and passes the recursion refuses although m^n fits
 INTERVAL_CAP.  Its level-n cover is one ``CylinderBatch``, expanded once per
 level, and each angle costs one projection and one union of its interval
 endpoints, at most INTERVAL_CAP = 2^24 intervals.  A hull body's intervals
-come from ``HullBody.support_range``, which looks up the few vertices that
-can be extreme in each direction instead of projecting all V vertices of
-every cylinder; its endpoints are bit-identical to the dense N x V form.
-It is also the cover of ``svg.render_svg`` and the tests' oracle.
+come from ``HullBody.support_range``, taken once per distinct (orient,
+theta) pair of the level rather than once per cylinder, and gathered; its
+endpoints are bit-identical to the dense N x V form.  It is also the cover
+of ``svg.render_svg`` and the tests' oracle.
 
 FAVLAB_THREADS (an integer >= 1, default min(4, CPUs)) sets the threads of
 ``_thread_map``, the one place that builds a thread pool, one per sweep: the
@@ -172,7 +172,8 @@ def _check_cover(m, n):
 class _LevelSweeper:
     """Incrementally maintained level-n cylinder cover for one system.  A disk
     body's cover is anchored at the disk's centre, a hull body's at the
-    origin, where its images are the cylinders' translations."""
+    origin, where its images are the cylinders' translations, and is
+    projected once per distinct (orient, theta) pair of the level."""
 
     def __init__(self, ifs, body=None):
         self.ifs = ifs
@@ -180,12 +181,23 @@ class _LevelSweeper:
         self.n = 0
         self._disk = isinstance(self.body, DiskBody)
         self.cover = CylinderBatch.at(self.body.center if self._disk else (0.0, 0.0))
+        self.turns = self._turns()
+
+    def _turns(self):
+        """The level's distinct (orient, theta) pairs as (orients, thetas),
+        and each cylinder's pair; None for a disk body."""
+        if self._disk:
+            return None
+        pairs, inverse = np.unique(self.cover.theta + 1j * self.cover.orient, return_inverse=True)
+        return pairs.imag.astype(np.int8), pairs.real, inverse
 
     def advance_to(self, n):
         _check_cover(self.ifs.m, n)
-        while self.n < n:
-            self.cover = self.cover.children(self.ifs.maps)
-            self.n += 1
+        if self.n < n:
+            while self.n < n:
+                self.cover = self.cover.children(self.ifs.maps)
+                self.n += 1
+            self.turns = self._turns()
 
     def intervals_at(self, theta):
         cover = self.cover
@@ -193,8 +205,9 @@ class _LevelSweeper:
         if self._disk:
             half = cover.r * self.body.radius
             return mid - half, mid + half
-        lo, hi = self.body.support_range(cover.orient * (theta - cover.theta))
-        return mid + cover.r * lo, mid + cover.r * hi
+        orient, turn, pair = self.turns
+        lo, hi = self.body.support_range(orient * (theta - turn))
+        return mid + cover.r * lo[pair], mid + cover.r * hi[pair]
 
     def merged_at(self, theta):
         """Union of the projected level-n intervals at angle theta."""

@@ -525,103 +525,33 @@ class DiskBody:
         return p - h, p + h
 
 
-# Direction bins of the hull support lookup.  Even, so that u and -u lie
-# exactly SUPPORT_BINS / 2 bins apart.
-SUPPORT_BINS = 4096
-_BIN_SLACK = 1e-12  # rad; bounds the error of the bin index of a direction
-
-
-def _support_candidates(points):
-    """Per direction bin, the indices of every point whose support value can
-    round to the maximum for some direction in the bin, padded to a common
-    width W by repeating the first: shape (SUPPORT_BINS, W).
-
-    Bin k covers the angles [-pi + k w, -pi + (k+1) w], widened by
-    _BIN_SLACK.  A point is kept if its exact value lies within tau of the
-    exact maximum somewhere in the bin; a rounded value needs that to reach
-    the rounded maximum.  Between consecutive outward edge normals of the
-    hull one vertex attains the maximum, and its lead over any other point is
-    a non-negative sinusoid, concave where positive, so its least lead in the
-    bin sits at a bin end or at a normal inside the bin: only those angles
-    are examined."""
-    width = TWO_PI / SUPPORT_BINS
-    ends = -math.pi + width * np.arange(SUPPORT_BINS + 1)
-    # |fl(c x) + fl(s y) - (c x + s y)| <= eps (|x| + |y|) for each point
-    tau = 32.0 * np.finfo(float).eps * float(np.abs(points).sum(axis=1).max())
-
-    def near_max(phis):
-        vals = np.cos(phis)[:, None] * points[:, 0] + np.sin(phis)[:, None] * points[:, 1]
-        return vals >= vals.max(axis=1, keepdims=True) - tau
-
-    keep = near_max(ends[:-1] - _BIN_SLACK) | near_max(ends[1:] + _BIN_SLACK)
-    hull = np.array(_convex_hull(points.tolist()), dtype=float)
-    if len(hull) >= 2:
-        ex, ey = (np.roll(hull, -1, axis=0) - hull).T
-        normals = np.arctan2(-ex, ey)  # outward: the hull runs counter-clockwise
-        at_normals = near_max(normals)
-        for shift in (-_BIN_SLACK, _BIN_SLACK):
-            k = np.floor((normals + shift + math.pi) / width).astype(np.intp) % SUPPORT_BINS
-            np.logical_or.at(keep, k, at_normals)
-    count = keep.sum(axis=1)
-    order = np.argsort(~keep, axis=1, kind="stable")[:, : count.max()]
-    return np.where(np.arange(order.shape[1]) < count[:, None], order, order[:, :1])
-
-
 class HullBody:
     """A certified invariant convex polygon (possibly a degenerate segment).
 
     ``support_range(psi)`` gives, for each direction psi, the minimum and
-    maximum of cos(psi) x + sin(psi) y over the vertices, bit-identical to
-    the min and max of the dense N x V matrix of those products, from the
-    few candidate vertices that a per-direction-bin table, built once here,
-    names for the direction.  The one freedom left is the sign of a zero
-    extreme that two vertices reach as +0.0 and -0.0, where the dense
-    reduction itself returns either."""
+    maximum over the vertices of fl(fl(cos(psi) x) + fl(sin(psi) y)), the
+    min and max of the dense N x V matrix of those products, accumulated one
+    vertex at a time.  The one freedom left is the sign of a zero extreme
+    that two vertices reach as +0.0 and -0.0, where the dense reduction
+    itself returns either."""
 
     def __init__(self, vertices):
         self.vertices = np.asarray(vertices, dtype=float)
         if not (len(self.vertices) and np.isfinite(self.vertices).all()):
             raise PreconditionViolated("hull vertices must be finite and nonempty")
-        points = np.unique(self.vertices, axis=0)
-        cand = _support_candidates(points)
-        # row SUPPORT_BINS is the angle pi, the same direction as bin 0
-        rows = np.arange(SUPPORT_BINS + 1)
-        hi = cand[rows % SUPPORT_BINS]
-        lo = cand[(rows + SUPPORT_BINS // 2) % SUPPORT_BINS]  # max over -u is min over u
-        # one contiguous row of coordinates per candidate column
-        self._hi_x, self._hi_y = points[hi.T, 0].copy(), points[hi.T, 1].copy()
-        self._lo_x, self._lo_y = points[lo.T, 0].copy(), points[lo.T, 1].copy()
 
     def support_range(self, psi):
         """Min and max over the vertices of cos(psi) x + sin(psi) y, per entry
-        of the array psi.  The trig runs on psi as given; only the bin lookup
-        uses the direction's angle, taken from the rounded cosine and sine
-        themselves, so the result does not depend on the size of psi."""
+        of the array psi; NaN where psi is NaN."""
         psi = np.asarray(psi, dtype=float)
         c, s = np.cos(psi), np.sin(psi)
-        ang = np.arctan2(s, c)
-        ang += math.pi
-        ang *= SUPPORT_BINS / TWO_PI
-        k = ang.astype(np.intp)  # in [0, SUPPORT_BINS]
-        val, term = ang, np.empty_like(ang)  # scratch rows
-
-        def value(x, y, out):
-            # fl(fl(c x) + fl(s y)), the dense product's rounding; "clip" keeps
-            # the garbage index of a NaN psi in range, and its value NaN
-            np.multiply(x.take(k, out=out, mode="clip"), c, out=out)
-            np.multiply(y.take(k, out=term, mode="clip"), s, out=term)
-            return np.add(out, term, out=out)
-
-        out = []
-        for xs, ys, pick in (
-            (self._lo_x, self._lo_y, np.minimum),
-            (self._hi_x, self._hi_y, np.maximum),
-        ):
-            best = value(xs[0], ys[0], np.empty_like(ang))
-            for x, y in zip(xs[1:], ys[1:]):
-                pick(best, value(x, y, val), out=best)
-            out.append(best)
-        return tuple(out)
+        lo, hi = np.full_like(c, np.inf), np.full_like(c, -np.inf)
+        val, term = np.empty_like(c), np.empty_like(c)
+        for x, y in self.vertices:
+            np.add(np.multiply(c, x, out=val), np.multiply(s, y, out=term), out=val)
+            np.minimum(lo, val, out=lo)
+            np.maximum(hi, val, out=hi)
+        return lo, hi
 
 
 def _convex_hull(points):

@@ -193,7 +193,8 @@ def visibility_estimate(ifs, a, s, n):
     dx = cover.x - a[0]
     dy = cover.y - a[1]
     dist = np.hypot(dx, dy)
-    engulfing = dist <= radii + 1e-15
+    # the slack scales with the system, so that a scaled copy engulfs alike
+    engulfing = dist <= radii + 1e-15 * ifs.R0
     n_engulf = int(engulfing.sum())
     if n_engulf > 0:
         # a cylinder disk containing the center covers every direction

@@ -150,7 +150,7 @@ def test_hull_sweeper_cover_matches_old_step(system):
         assert cover.orient.dtype == np.int8
         assert bits(cover.r, cover.theta, cover.orient.astype(float)) == bits(r, theta, orient)
         assert bits(cover.x, cover.y) == bits(t[:, 0], t[:, 1])
-        # the angle the support lookup receives is the same array too
+        # each cylinder's support direction is the same array too
         assert bits(cover.orient * (0.7 - cover.theta)) == bits(orient * (0.7 - theta))
 
 

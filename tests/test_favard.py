@@ -901,6 +901,15 @@ def test_keys_past_merge_cap_take_the_level_sweeper(workers, monkeypatch):
     for n in (2, 5):
         swept = np.array([_sweeper_at(two_classes, n).length_at(theta) for theta in thetas])
         assert lengths[n].tobytes() == swept.tobytes()
+    # the hull body takes the same fallback, and its lengths are those of
+    # the dense N x V support matrix
+    hull = attractor_hull(two_classes)
+    assert FAVARD._ProjectionRecursion.of(two_classes, [2, 5], hull) is None
+    lengths = projection_sweep(two_classes, [2, 5], thetas, body=hull, workers=workers)
+    for n in (2, 5):
+        sweeper = _sweeper_at(two_classes, n, body=hull)
+        dense = [merge_intervals(*_dense_hull_intervals(sweeper, theta)).total_length for theta in thetas]
+        assert lengths[n].tobytes() == np.array(dense).tobytes()
 
 
 def test_recursion_refusal_falls_back_where_the_sweeper_fits(monkeypatch):
@@ -1006,8 +1015,8 @@ def _seeded_reflected_system(seed):
 
 
 def _dense_hull_intervals(sweeper, theta):
-    """Hull-body intervals as the sweep formed them before the support
-    lookup: the N x V matrix of vertex projections, min and max per row."""
+    """Hull-body intervals from the N x V matrix of every cylinder's vertex
+    projections, min and max per row."""
     verts = sweeper.body.vertices
     cover = sweeper.cover
     psi = cover.orient * (theta - cover.theta)

@@ -252,8 +252,8 @@ def test_from_dict_rejects_bad_configs():
 
 
 def _dense_products(vertices, psi):
-    """Every vertex projected at every angle, as sweeps formed the support
-    range before the lookup table, which then took the min and max per row."""
+    """Every vertex projected at every angle: the N x V matrix whose min and
+    max per row are the support range."""
     v = np.asarray(vertices, dtype=float)
     return np.cos(psi)[:, None] * v[:, 0][None, :] + np.sin(psi)[:, None] * v[:, 1][None, :]
 
@@ -344,5 +344,10 @@ def test_support_range_bit_identical_to_dense(points, as_hull, drawn):
 
 def test_support_range_single_point_and_segment():
     psi = np.linspace(-50.0, 50.0, 1001)
+    # NaN directions give NaN and leave the others their dense values
+    with_nan = np.concatenate(([np.nan], psi[:7], [np.nan, np.nan], psi[7:12]))
     for vertices in ([(0.3, -1.2)], [(0.0, 0.0)], [(-1.0, 2.0), (3.0, 0.5)]):
-        _assert_support_bits(HullBody(vertices), vertices, psi)
+        body = HullBody(vertices)
+        for directions in (psi, with_nan):
+            _assert_support_bits(body, vertices, directions)
+        assert np.isnan(body.support_range(with_nan)).sum(axis=1).tolist() == [3, 3]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -225,6 +226,20 @@ def test_visibility_exclusion_reported(ifs):
     assert est.full_circle
     assert est.engulfing_cylinders >= 1
     assert est.covering_sum == pytest.approx(2 * math.pi)
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1e-16, 1e-18, 1e6])
+def test_visibility_scale_invariant(ifs, scale):
+    # a scaled copy of the system, seen from the scaled centre, subtends
+    # the same arcs: the engulfing slack must scale with it
+    scaled = IFS.from_maps(
+        [dataclasses.replace(f, tx=f.tx * scale, ty=f.ty * scale) for f in ifs.maps]
+    )
+    want = visibility_estimate(ifs, (3.0, 0.0), 1.0, 6)
+    got = visibility_estimate(scaled, (3.0 * scale, 0.0), 1.0, 6)
+    assert not got.full_circle and got.engulfing_cylinders == 0
+    assert got.components == want.components
+    assert got.covering_sum == pytest.approx(want.covering_sum, rel=1e-12)
 
 
 def test_visibility_s_monotone_in_s(ifs):
