@@ -473,7 +473,9 @@ class CylinderBatch:
 
     ``CylinderBatch.at(points)`` is the empty word at each anchor point, and
     ``children(maps)`` goes one level deeper; it is the only code that
-    applies the maps to arrays of points."""
+    applies the maps to arrays of points.  It treats each row on its own, so
+    the children of rows picked with ``take`` are bit for bit those rows'
+    children in the whole batch, which the visibility oracle tests check."""
 
     def __init__(self, x, y, r, theta, orient):
         self.x, self.y, self.r, self.theta, self.orient = x, y, r, theta, orient
@@ -500,6 +502,12 @@ class CylinderBatch:
             np.concatenate([f.r * self.r for f in maps]),
             np.concatenate([f.theta + f.orient * self.theta for f in maps]),
             np.concatenate([f.orient * self.orient for f in maps]),
+        )
+
+    def take(self, rows):
+        """The cylinders at ``rows``, an index or boolean mask array."""
+        return CylinderBatch(
+            self.x[rows], self.y[rows], self.r[rows], self.theta[rows], self.orient[rows]
         )
 
     def project(self, theta):

@@ -15,6 +15,7 @@ from .ifs import TWO_PI, CylinderBatch, TailWord, exceeds, norm_angle
 from .rotation import find_rotation_word, steering_suffix
 
 LEVEL_CAP = 2**21  # cylinders of a level measure or visibility cover
+VIS_BLOCK_LEVELS = 4  # levels of a visibility block below its prefix
 
 
 def project(point, theta):
@@ -34,10 +35,14 @@ class AtomicMeasure:
         return float(self.weights.sum())
 
 
-def _level_cover(ifs, anchor, n):
-    """The level-n cylinders anchored at one point, at most LEVEL_CAP."""
+def _check_level(ifs, n):
     if exceeds(ifs.m, n, LEVEL_CAP):
         raise LevelTooLarge(f"{ifs.m}^{n} cylinders exceed cap {LEVEL_CAP}")
+
+
+def _level_cover(ifs, anchor, n):
+    """The level-n cylinders anchored at one point, at most LEVEL_CAP."""
+    _check_level(ifs, n)
     cover = CylinderBatch.at(anchor)
     for _ in range(n):
         cover = cover.children(ifs.maps)
@@ -147,29 +152,42 @@ def density_witness(ifs, cert, theta):
     )
 
 
-def _merge_circular_arcs(starts, widths):
-    """Union of circular arcs as a list of (start, length) components.
-    Returns (components, full_circle)."""
-    if len(starts) == 0:
-        return [], False
-    if np.any(widths >= TWO_PI):
-        return [(0.0, TWO_PI)], True
+def _arc_pieces(starts, widths):
+    """Closed arcs [start, start + width] of the circle as closed pieces
+    (lo, hi) of [0, 2*pi]: an arc that wraps past 2*pi splits into a tail
+    piece and a head piece."""
     s = np.asarray(starts, dtype=float) % TWO_PI
     e = s + np.asarray(widths, dtype=float)
-    # split arcs that wrap past 2*pi into a tail piece and a head piece,
-    # then this is an ordinary interval union on [0, 2*pi]
     wrap = e > TWO_PI
     lo = np.concatenate([s, np.zeros(int(wrap.sum()))])
     hi = np.concatenate([np.minimum(e, TWO_PI), e[wrap] - TWO_PI])
-    comps = merge_intervals(lo, hi).intervals
+    return lo, hi
+
+
+def _merge_circular_arcs(lo, hi):
+    """Union of closed pieces of [0, 2*pi], as ``_arc_pieces`` cuts them.
+    Returns (components, full_circle, merged): the components as (start,
+    length) in circular order, where a piece ending at 2*pi joins one
+    starting at 0, and as the one component (0, 2*pi) once their lengths sum
+    to 2*pi within 1e-15; and the merged pieces, an IntervalSet that a later
+    union may take in place of the pieces they came from."""
+    merged = merge_intervals(lo, hi)
+    comps = merged.intervals
     if len(comps) >= 2 and comps[0][0] <= 0.0 and comps[-1][1] >= TWO_PI:
         # the wrap joins the first and last pieces into one circular component
         first, last = comps[0], comps[-1]
         comps = [(last[0] - TWO_PI, first[1])] + comps[1:-1]
     total = sum(hi_ - lo_ for lo_, hi_ in comps)
     if total >= TWO_PI - 1e-15:
-        return [(0.0, TWO_PI)], True
-    return [(lo_, hi_ - lo_) for lo_, hi_ in comps], False
+        return [(0.0, TWO_PI)], True, merged
+    return [(lo_, hi_ - lo_) for lo_, hi_ in comps], False, merged
+
+
+def _inside(los, his, lo, hi):
+    """Whether each [lo, hi] lies inside one of the disjoint closed
+    intervals [los, his], given in ascending order."""
+    j = np.maximum(np.searchsorted(los, lo, side="right") - 1, 0)
+    return (los[j] <= lo) & (hi <= his[j])
 
 
 @dataclass
@@ -181,39 +199,140 @@ class VisibilityEstimate:
     full_circle: bool
 
 
-def visibility_estimate(ifs, a, s, n):
-    """Arc-cover estimate of the s-content of the radial projection of the
-    level-n cover.  Cylinder disks containing the center project to the whole
-    circle and are reported, keeping the estimate an upper bound and the
-    sequence in n nonincreasing."""
-    if not (0.0 < s <= 2.0):
-        raise PreconditionViolated("s in (0, 2] required")
-    cover = _level_cover(ifs, ifs.center, n)
-    radii = cover.r * ifs.R0
-    dx = cover.x - a[0]
-    dy = cover.y - a[1]
-    dist = np.hypot(dx, dy)
-    # the slack scales with the system, so that a scaled copy engulfs alike
-    engulfing = dist <= radii + 1e-15 * ifs.R0
-    n_engulf = int(engulfing.sum())
-    if n_engulf > 0:
-        # a cylinder disk containing the center covers every direction
-        return VisibilityEstimate(
-            covering_sum=TWO_PI**s, delta=TWO_PI, components=1,
-            engulfing_cylinders=n_engulf, full_circle=True,
-        )
+def _seen_from(cover, a, ifs):
+    """Offsets (dx, dy) from a, distances and radii of the disks
+    F_u(D(c, R0)) of a cover anchored at the centre c."""
+    dx, dy = cover.x - a[0], cover.y - a[1]
+    return dx, dy, np.hypot(dx, dy), cover.r * ifs.R0
+
+
+def _arcs(dx, dy, dist, radii):
+    """Start, in [0, 2*pi), and width of the arc that each disk subtends
+    from outside it."""
     mid = np.arctan2(dy, dx) % TWO_PI
     half = np.arcsin(np.minimum(1.0, radii / dist))
-    starts = (mid - half) % TWO_PI
-    widths = 2.0 * half
-    comps, full = _merge_circular_arcs(starts, widths)
-    delta = float(widths.max()) if len(widths) else 0.0
+    return (mid - half) % TWO_PI, 2.0 * half
+
+
+def _descend(ifs, cover, wanted, k):
+    """The cylinders u.q for the words q of a cover and the level-k prefixes
+    u that the boolean array ``wanted`` marks in the level-k cover's word
+    order.  ``children`` prepends a prefix's symbols innermost first, so
+    after j steps a row carries the last j symbols of its prefix, which are
+    the prefix's index mod m^j; only the rows where those end a wanted prefix
+    go on."""
+    m = ifs.m
+    want = np.flatnonzero(wanted)
+    if not len(want):
+        return cover.take(slice(0, 0))
+    tag = np.zeros(len(cover.x), dtype=np.int64)
+    for j in range(k):
+        cover = cover.children(ifs.maps)
+        tag = (np.arange(m)[:, None] * m**j + tag).ravel()
+        ends = np.zeros(m ** (j + 1), dtype=bool)
+        ends[want % m ** (j + 1)] = True
+        keep = ends[tag]
+        if not keep.all():
+            cover, tag = cover.take(keep), tag[keep]
+    return cover
+
+
+def visibility_estimate(ifs, a, s, n):
+    """Arc-cover estimate of the s-content of the radial projection from a
+    of the level-n cover.  Each level-n disk F_w(D(c, R0)) subtends an arc;
+    each component of their union is covered by k equal arcs no longer than
+    delta, the widest disk arc, and the estimate sums k (length/k)^s.  Disks
+    that contain a (within 1e-15 R0) see every direction: the estimate is then
+    the full circle, 2 pi^s, with their number reported, so it stays an upper
+    bound.  At s = 1 the sum is the union's length, and as every level-(n+1)
+    disk lies in a level-n disk, the sequence in n is nonincreasing; at other
+    s it need not be (on fig1 from (3, 0), at s = 0.5 it grows from 0.970 at
+    n = 1 to 42.1 at n = 10).
+
+    The cover is never built whole.  Its words fall into blocks, one per
+    level-k prefix p, k = max(n - VIS_BLOCK_LEVELS, 0); as F_i(D) lies in D,
+    a block's disks all lie in the prefix disk F_p(D).  So only the near
+    blocks, whose disk holds a within a slack widened for rounding, can hold
+    a disk that contains a, and they are expanded first.  Failing that, the
+    arcs of the near blocks' words and of the words ending in a largest-ratio
+    map, 1/m of the cover, form an inner union L, which lies in the answer.
+    A far block is skipped when its disk's arc, widened by a rounding margin,
+    lies inside one component of L and a bound on its words' arc widths lies
+    below L's widest arc: its arcs then lie strictly inside a component of
+    the arcs kept and are narrower than the widest arc kept, so they change
+    neither the union nor delta.  The other far blocks' remaining words are
+    formed, and those of their arc pieces that no piece of L holds are merged
+    once with L's pieces.  The components, delta, covering sum and
+    full-circle flag are those of merging every level-n arc at once, bit for
+    bit, and no arc is formed twice."""
+    if not (0.0 < s <= 2.0):
+        raise PreconditionViolated("s in (0, 2] required")
+    _check_level(ifs, n)
+    m, R0 = ifs.m, ifs.R0
+    k = max(n - VIS_BLOCK_LEVELS, 0)
+    inner = _level_cover(ifs, ifs.center, n - k)
+    bdx, bdy, bdist, bradii = _seen_from(_level_cover(ifs, ifs.center, k), a, ifs)
+    # positions, distances and angles carry rounding errors near eps * scale;
+    # where scale overflows, every block is near and the descent is dense
+    scale = R0 + abs(ifs.center[0]) + abs(ifs.center[1]) + abs(a[0]) + abs(a[1])
+    near = bdist <= bradii + (1e-15 * R0 + 1e-9 * scale)
+    far = ~near
+    sample = []  # (starts, widths) of the arcs merged into L
+    if near.any():
+        # a word's disk lies in its block's, so every disk that contains a
+        # is in a near block
+        dx, dy, dist, radii = _seen_from(_descend(ifs, inner, near, k), a, ifs)
+        engulfing = int(np.count_nonzero(dist <= radii + 1e-15 * R0))
+        if engulfing:
+            return VisibilityEstimate(
+                covering_sum=TWO_PI**s, delta=TWO_PI, components=1,
+                engulfing_cylinders=engulfing, full_circle=True,
+            )
+        sample.append(_arcs(dx, dy, dist, radii))
+    star = max(range(m), key=lambda i: ifs.maps[i].r)
+    # a word's last symbol is its inner cover index mod m; at n = 0 the one
+    # word is empty and forms L alone
+    ends_star = (np.arange(len(inner.x)) % m == star) | (n == 0)
+    cover = _descend(ifs, inner.take(ends_star), far, k)
+    sample.append(_arcs(*_seen_from(cover, a, ifs)))
+    starts, widths = map(np.concatenate, zip(*sample))
+    widest = widths.max()
+    held = _merge_circular_arcs(*_arc_pieces(starts, widths))[2]
+
+    # The words of a far block p have disks of radius at most
+    # r_p r_max^(n-k) R0 at distance at least d_p - r_p R0 from a, which bounds
+    # their arc widths.  The margin covers the rounding of the block's arc and
+    # of its words' arcs, which grows as a nears the block and as the arcs
+    # near a half turn.  A widened arc that wraps past 2*pi lies inside L when
+    # both of its pieces lie inside pieces of L.
+    dist, radii = bdist[far], bradii[far]
+    gap = dist - radii
+    bound = 2.0 * np.arcsin(np.minimum(1.0, radii * ifs.maps[star].r ** (n - k) / gap))
+    margin = 1e-9 * (1.0 + scale / gap) / np.cos(bound / 2.0)
+    start, width = _arcs(bdx[far], bdy[far], dist, radii)
+    lo = (start - margin) % TWO_PI
+    hi = lo + width + 2.0 * margin
+    inside = _inside(held.los, held.his, lo, np.minimum(hi, TWO_PI)) & (
+        (hi <= TWO_PI) | _inside(held.los, held.his, np.zeros_like(hi), hi - TWO_PI)
+    )
+    skip = np.zeros_like(far)
+    skip[far] = inside & (bound + margin < widest)
+
+    cover = _descend(ifs, inner.take(~ends_star), far & ~skip, k)
+    starts, widths = _arcs(*_seen_from(cover, a, ifs))
+    lo, hi = _arc_pieces(starts, widths)
+    # a piece that lies inside one of L's leaves the union as it is
+    new = ~_inside(held.los, held.his, lo, hi)
+    comps, full, _ = _merge_circular_arcs(
+        np.concatenate((held.los, lo[new])), np.concatenate((held.his, hi[new]))
+    )
+    delta = float(max(widest, widths.max(initial=0.0)))
     total = 0.0
     for _, length in comps:
         if delta <= 0.0:
             continue
-        k = max(1, math.ceil(length / delta - 1e-12))
-        total += k * (length / k) ** s
+        parts = max(1, math.ceil(length / delta - 1e-12))
+        total += parts * (length / parts) ** s
     return VisibilityEstimate(
         covering_sum=float(total),
         delta=delta,

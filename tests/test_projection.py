@@ -1,21 +1,26 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from favlab import cli, projection
 from favlab.errors import LevelTooLarge
-from favlab.ifs import IFS
+from favlab.ifs import IFS, TWO_PI, CylinderBatch, Similitude
 from favlab.projection import (
     AtomicMeasure,
+    VisibilityEstimate,
     density_profile,
     density_witness,
     level_measure,
     project,
     visibility_estimate,
-    _merge_circular_arcs,
+    _arc_pieces,
+    _inside,
+    _level_cover,
 )
 from favlab.relclose import power_family
 
@@ -98,6 +103,12 @@ def _arc_cover_oracle(arcs, samples=20000):
         d = np.abs((ts - c + math.pi) % (2 * math.pi) - math.pi)
         covered |= d <= h
     return covered.mean() * 2 * math.pi
+
+
+def _merge_circular_arcs(starts, widths):
+    """(components, full_circle) of the union of the arcs."""
+    comps, full, _ = projection._merge_circular_arcs(*_arc_pieces(starts, widths))
+    return comps, full
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,6 +213,26 @@ def test_merge_circular_arcs_matches_loop_cases():
     assert not full and len(comps) == 1
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 4), st.integers(0, 4)), min_size=1, max_size=12),
+    st.lists(st.tuples(st.integers(-2, 60), st.integers(0, 8)), min_size=1, max_size=20),
+)
+def test_inside_matches_loop(runs, queries):
+    # disjoint closed intervals, points among them, as merge_intervals leaves
+    # them, and queries on the same 1/8 grid so that ends coincide
+    los, his, end = [], [], 0
+    for gap, length in runs:
+        los.append(end + gap)
+        his.append(end + gap + length)
+        end = his[-1]
+    los, his = np.array(los) / 8.0, np.array(his) / 8.0
+    lo = np.array([q for q, _ in queries]) / 8.0
+    hi = lo + np.array([w for _, w in queries]) / 8.0
+    want = [any(a <= x and y <= b for a, b in zip(los, his)) for x, y in zip(lo, hi)]
+    assert _inside(los, his, lo, hi).tolist() == want
+
+
 def test_visibility_monotone(ifs):
     for center in [(3.0, 0.0), (1.0, 0.0), (2 / 3, 1 / 3)]:
         prev = math.inf
@@ -237,6 +268,7 @@ def test_visibility_scale_invariant(ifs, scale):
     )
     want = visibility_estimate(ifs, (3.0, 0.0), 1.0, 6)
     got = visibility_estimate(scaled, (3.0 * scale, 0.0), 1.0, 6)
+    assert _bits(got) == _bits(_dense_visibility(scaled, (3.0 * scale, 0.0), 1.0, 6))
     assert not got.full_circle and got.engulfing_cylinders == 0
     assert got.components == want.components
     assert got.covering_sum == pytest.approx(want.covering_sum, rel=1e-12)
@@ -247,3 +279,173 @@ def test_visibility_s_monotone_in_s(ifs):
     e1 = visibility_estimate(ifs, (3.0, 0.0), 0.8, 6)
     e2 = visibility_estimate(ifs, (3.0, 0.0), 1.0, 6)
     assert e2.covering_sum <= e1.covering_sum + 1e-12
+
+
+# ------------------------------------------------- block descent against dense
+
+
+def _dense_visibility(ifs, a, s, n):
+    """[DERIVED] oracle: the estimate from the arcs of the whole level-n
+    cover, merged at once, as visibility_estimate computed it before its
+    block descent."""
+    cover = _level_cover(ifs, ifs.center, n)
+    radii = cover.r * ifs.R0
+    dx = cover.x - a[0]
+    dy = cover.y - a[1]
+    dist = np.hypot(dx, dy)
+    n_engulf = int((dist <= radii + 1e-15 * ifs.R0).sum())
+    if n_engulf > 0:
+        return VisibilityEstimate(
+            covering_sum=TWO_PI**s, delta=TWO_PI, components=1,
+            engulfing_cylinders=n_engulf, full_circle=True,
+        )
+    mid = np.arctan2(dy, dx) % TWO_PI
+    half = np.arcsin(np.minimum(1.0, radii / dist))
+    starts = (mid - half) % TWO_PI
+    widths = 2.0 * half
+    comps, full = _merge_circular_arcs(starts, widths)
+    delta = float(widths.max()) if len(widths) else 0.0
+    total = 0.0
+    for _, length in comps:
+        if delta <= 0.0:
+            continue
+        k = max(1, math.ceil(length / delta - 1e-12))
+        total += k * (length / k) ** s
+    return VisibilityEstimate(
+        covering_sum=float(total), delta=delta, components=len(comps),
+        engulfing_cylinders=0, full_circle=full,
+    )
+
+
+def _bits(est):
+    return (
+        est.covering_sum.hex(), float(est.delta).hex(), est.components,
+        est.engulfing_cylinders, est.full_circle,
+    )
+
+
+def _assert_dense_bits(ifs, a, ns=range(10), ss=(0.5, 1.0, 2.0)):
+    for n in ns:
+        for s in ss:
+            got = visibility_estimate(ifs, a, s, n)
+            assert _bits(got) == _bits(_dense_visibility(ifs, a, s, n)), (a, s, n)
+
+
+def _seeded_system(seed):
+    """Four maps with ratios in [0.25, 0.45], one of them reflecting, with
+    fixed points near the corners of the unit square; and the generator,
+    to draw centres from."""
+    rng = random.Random(seed)
+    reflect = rng.randrange(4)
+    maps = []
+    for i, (cx, cy) in enumerate(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))):
+        r, theta = rng.uniform(0.25, 0.45), rng.uniform(0.0, TWO_PI)
+        orient = -1 if i == reflect else 1
+        px, py = cx + rng.uniform(-0.1, 0.1), cy + rng.uniform(-0.1, 0.1)
+        c, s = math.cos(theta), math.sin(theta)
+        maps.append(Similitude(
+            r=r, theta=theta, orient=orient,
+            tx=px - r * (c * px - orient * s * py),
+            ty=py - r * (s * px + orient * c * py),
+        ))
+    return IFS.from_maps(maps), rng
+
+
+def _centres(ifs, rng):
+    """A centre outside the enclosing disk, one on its circle, and the
+    centre of a level-10 cylinder disk, which lies in every coarser one."""
+    (cx, cy), R = ifs.center, ifs.R0
+    phi_out, phi_on = rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI)
+    inside = ifs.center
+    for i in [rng.randrange(ifs.m) for _ in range(10)]:
+        inside = ifs.maps[i].apply(inside)
+    return {
+        "outside": (cx + 2.5 * R * math.cos(phi_out), cy + 2.5 * R * math.sin(phi_out)),
+        "on": (cx + R * math.cos(phi_on), cy + R * math.sin(phi_on)),
+        "inside": inside,
+    }
+
+
+@pytest.mark.parametrize("a", [(3.0, 0.0), (100.0, 0.0), (1.0, 0.0), (2 / 3, 1 / 3)])
+def test_visibility_fig1_matches_dense(ifs, a):
+    _assert_dense_bits(ifs, a)
+
+
+@pytest.mark.parametrize("seed", [2, 4])
+@pytest.mark.parametrize("where", ["outside", "on", "inside"])
+def test_visibility_seeded_matches_dense(seed, where):
+    system, rng = _seeded_system(seed)
+    _assert_dense_bits(system, _centres(system, rng)[where])
+
+
+@pytest.mark.parametrize("seed", [2, 4])
+def test_visibility_on_block_boundary_matches_dense(ifs, seed):
+    # a centre on a block's disk, or just outside it, where the block's arc
+    # and its words' arcs are at their most ill-conditioned
+    system, rng = _seeded_system(seed)
+    k = 4
+    n = k + projection.VIS_BLOCK_LEVELS
+    for sys_ in (ifs, system):
+        blocks = _level_cover(sys_, sys_.center, k)
+        for p in rng.sample(range(len(blocks.x)), 3):
+            for grow in (1.0, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6):
+                phi = rng.uniform(0.0, TWO_PI)
+                rad = blocks.r[p] * sys_.R0 * grow
+                a = (blocks.x[p] + rad * math.cos(phi), blocks.y[p] + rad * math.sin(phi))
+                _assert_dense_bits(sys_, a, ns=(n,), ss=(1.0,))
+
+
+def test_visibility_at_cylinder_centre_matches_dense(ifs):
+    system, rng = _seeded_system(2)
+    for sys_ in (ifs, system):
+        for n in range(10):
+            cover = _level_cover(sys_, sys_.center, n)
+            j = rng.randrange(len(cover.x))
+            a = (float(cover.x[j]), float(cover.y[j]))
+            _assert_dense_bits(sys_, a, ns=(n, min(n + 2, 9)))
+
+
+def test_visibility_prunes_without_adding_work(ifs, monkeypatch):
+    # every arc the descent forms goes through _arcs, and every union
+    # through _merge_circular_arcs
+    formed, merged = [], []
+    arcs, merge = projection._arcs, projection._merge_circular_arcs
+
+    def counting_arcs(dx, *rest):
+        formed.append(len(dx))
+        return arcs(dx, *rest)
+
+    def counting_merge(lo, hi):
+        merged.append(len(lo))
+        return merge(lo, hi)
+
+    monkeypatch.setattr(projection, "_arcs", counting_arcs)
+    monkeypatch.setattr(projection, "_merge_circular_arcs", counting_merge)
+    system, rng = _seeded_system(1)
+    n = 9
+    visibility_estimate(system, _centres(system, rng)["outside"], 1.0, n)
+    blocks = system.m ** (n - projection.VIS_BLOCK_LEVELS)
+    assert sum(merged) < system.m**n / 2
+    assert sum(formed) - blocks < system.m**n / 2
+    formed.clear()
+    merged.clear()
+    visibility_estimate(ifs, (3.0, 0.0), 1.0, n)
+    assert sum(merged) <= ifs.m**n
+    assert sum(formed) - ifs.m ** (n - projection.VIS_BLOCK_LEVELS) <= ifs.m**n
+
+
+def test_visibility_level_cap_before_any_work(ifs, monkeypatch, capsys):
+    def no_children(self, maps):
+        raise AssertionError("a cover was built past the level cap")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CylinderBatch, "children", no_children)
+        with pytest.raises(LevelTooLarge) as err:
+            visibility_estimate(ifs, (3.0, 0.0), 1.0, 14)
+    assert str(err.value) == "level-too-large: 3^14 cylinders exceed cap 2097152"
+    monkeypatch.setattr(projection, "LEVEL_CAP", 3**3)
+    argv = ["visible", "--ifs", "configs/fig1.json", "--ax", "3", "--ay", "0", "--s", "1", "--n", "4"]
+    assert cli.run(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "ERROR level-too-large: 3^4 cylinders exceed cap 27"
+    )
