@@ -166,6 +166,9 @@ def cmd_density(args):
                 rows.append(f"{r!r},{q!r}\n")
         except FavlabError as e:
             print(f"WARNING density profile not written: {e}", file=sys.stderr)
+    else:
+        print(f"WARNING density profile not written: radius b underflows to 0.0 at log10_b {wit.log10_b}",
+              file=sys.stderr)
     emit("".join(rows), args.csv)
     print(
         f"x {wit.x} b {wit.b} log10_b {wit.log10_b} ratio {wit.ratio} "

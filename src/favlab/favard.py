@@ -1,45 +1,38 @@
 """Level covers, projected interval unions, Favard quadrature, the decay
 schedule, bound curves and the sweep-CSV reader of the decay fit.
 
-A sweep takes one of two paths, chosen from the input alone.
+Every sweep runs the projection recursion, for every system and body,
+disk or hull.  A map is linear, so the projected level-j cover obeys
+P_j(phi) = U_i r_i P_{j-1}(o_i (phi - theta_i)) + <e_phi, t_i>, and only
+merged components pass from one level to the next; no cover is built.  The
+directions a level needs are angle keys (s, c_1..c_q), the angle
+s phi + sum_k c_k theta_k over the q distinct (theta, orientation) classes
+of the maps that are not pure homotheties; at most n - j + 1 keys at level
+j of a pass to level n for one class, and one pass yields every requested
+level.  Level 0 is the body's own projection at each key's direction: the
+disk's centre projection, or the hull's ``HullBody.support_range``.  One
+level step serves a block of angles and every key of the level: each
+(angle, key) row gathers its children's rows, padded with +inf, and one
+row-wise ``merge_intervals`` call merges them all.  A block starts as a
+part's angles and halves, down to one angle, before any step whose padded
+intake would pass BLOCK_CAP; a one-angle block past it merges its rows in
+groups under the cap.  Its depth is bounded by MERGE_CAP (level-key merges
+per angle, counted before any work) and by INTERVAL_CAP on the intervals
+one angle's level takes in over all its keys, not by m^n: fig1 runs to
+n = 18 and stops at n = 19, and a sparse cover can pass INTERVAL_CAP at a
+level whose m^n cylinders fit it.
 
-The projection recursion serves every system and body, disk or hull, whose
-angle-key bookkeeping fits MERGE_CAP.  A map is linear, so the projected
-level-j cover obeys P_j(phi) = U_i r_i P_{j-1}(o_i (phi - theta_i)) +
-<e_phi, t_i>, and only merged components pass from one level to the next;
-no cover is built.  The directions a level needs are angle keys
-(s, c_1..c_q), the angle s phi + sum_k c_k theta_k over the q distinct
-(theta, orientation) classes of the maps that are not pure homotheties; at
-most n - j + 1 keys at level j of a pass to level n for one class, and one
-pass yields every requested level.  Level 0 is the body's own projection at
-each key's direction: the disk's centre projection, or the hull's
-``HullBody.support_range``.  One level step serves a block of angles and
-every key of the level: each (angle, key) row gathers its children's rows,
-padded with +inf, and one row-wise ``merge_intervals`` call merges them
-all.  A block starts as a part's angles and halves, down to one angle, before
-any step whose padded intake would pass BLOCK_CAP; a one-angle block past it
-merges its rows in groups under the cap.  Its depth is bounded by MERGE_CAP
-(level-key merges per angle, counted before any work) and by INTERVAL_CAP
-on the intervals one angle's level takes in, not by m^n: fig1 runs to
-n = 18 and stops at n = 19.
-
-The level sweeper serves the rest: systems whose keys pass MERGE_CAP (many
-classes or deep levels) and passes the recursion refuses although m^n fits
-INTERVAL_CAP.  Its level-n cover is one ``CylinderBatch``, expanded once per
-level, and each angle costs one projection and one union of its interval
-endpoints, at most INTERVAL_CAP = 2^24 intervals.  A hull body's intervals
-come from ``HullBody.support_range``, taken once per distinct (orient,
-theta) pair of the level rather than once per cylinder, and gathered; its
-endpoints are bit-identical to the dense N x V form.  It is also the cover
-of ``svg.render_svg`` and the tests' oracle.
+The level sweeper keeps the level-n cover as one ``CylinderBatch`` and
+projects every cylinder at an angle.  It is the cover of ``svg.render_svg``
+and the tests' oracle, and no sweep uses it.
 
 FAVLAB_THREADS (an integer >= 1, default min(4, CPUs)) sets the threads of
-``_thread_map``, the one place that builds a thread pool, one per sweep: the
-sweeper maps each level's angles over it, the recursion parts of its angles.
+the one pool a sweep builds, over which the recursion maps parts of its
+angles; a sweep of one part builds none.
 
 The recursion's lengths differ from the sweeper's in the last bits (the
 body is projected once per direction rather than once per cylinder; on
-fig1 at n <= 12 by at most 6.2e-14 relative), and both are bit-identical
+fig1 at n <= 12 by at most 6.2e-14 relative), and are bit-identical
 across worker counts."""
 
 from __future__ import annotations
@@ -47,7 +40,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,10 +53,10 @@ from .errors import (
     PreconditionViolated,
     RhoTooSmall,
 )
-from .ifs import CylinderBatch, DiskBody, exceeds
+from .ifs import CylinderBatch, DiskBody
 
-INTERVAL_CAP = 2**24  # projected intervals of one level, swept or recursive
-MERGE_CAP = 4096  # (level, angle key) merges per angle on the recursive path
+INTERVAL_CAP = 2**24  # intervals one angle's recursive level takes in, over all its keys
+MERGE_CAP = 2**16  # (level, angle key) merges per angle of a recursive pass
 BLOCK_CAP = 2**16  # padded intervals one recursive level step takes in
 RHO_CAP_LEVEL = 600  # r_min^level floor for the neighborhood sweep
 
@@ -152,28 +144,12 @@ def default_workers():
     return int(env)
 
 
-@contextmanager
-def _thread_map(workers, tasks):
-    """``map`` for one worker or one task, else the ``map`` of a pool of
-    ``workers`` threads; both yield the results in order."""
-    if workers == 1 or tasks < 2:
-        yield map
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield pool.map
-
-
-def _check_cover(m, n):
-    """Refuse a level whose m^n cylinders pass INTERVAL_CAP."""
-    if exceeds(m, n, INTERVAL_CAP):
-        raise LevelTooLarge(f"{m}^{n} intervals exceed cap {INTERVAL_CAP}")
-
-
 class _LevelSweeper:
-    """Incrementally maintained level-n cylinder cover for one system.  A disk
-    body's cover is anchored at the disk's centre, a hull body's at the
-    origin, where its images are the cylinders' translations, and is
-    projected once per distinct (orient, theta) pair of the level."""
+    """Incrementally maintained level-n cylinder cover for one system, with
+    no cap of its own: the reference cover of the tests and of
+    ``svg.render_svg``.  A disk body's cover is anchored at the disk's
+    centre, a hull body's at the origin, where its images are the
+    cylinders' translations."""
 
     def __init__(self, ifs, body=None):
         self.ifs = ifs
@@ -181,23 +157,11 @@ class _LevelSweeper:
         self.n = 0
         self._disk = isinstance(self.body, DiskBody)
         self.cover = CylinderBatch.at(self.body.center if self._disk else (0.0, 0.0))
-        self.turns = self._turns()
-
-    def _turns(self):
-        """The level's distinct (orient, theta) pairs as (orients, thetas),
-        and each cylinder's pair; None for a disk body."""
-        if self._disk:
-            return None
-        pairs, inverse = np.unique(self.cover.theta + 1j * self.cover.orient, return_inverse=True)
-        return pairs.imag.astype(np.int8), pairs.real, inverse
 
     def advance_to(self, n):
-        _check_cover(self.ifs.m, n)
-        if self.n < n:
-            while self.n < n:
-                self.cover = self.cover.children(self.ifs.maps)
-                self.n += 1
-            self.turns = self._turns()
+        while self.n < n:
+            self.cover = self.cover.children(self.ifs.maps)
+            self.n += 1
 
     def intervals_at(self, theta):
         cover = self.cover
@@ -205,9 +169,8 @@ class _LevelSweeper:
         if self._disk:
             half = cover.r * self.body.radius
             return mid - half, mid + half
-        orient, turn, pair = self.turns
-        lo, hi = self.body.support_range(orient * (theta - turn))
-        return mid + cover.r * lo[pair], mid + cover.r * hi[pair]
+        lo, hi = self.body.support_range(cover.orient * (theta - cover.theta))
+        return mid + cover.r * lo, mid + cover.r * hi
 
     def merged_at(self, theta):
         """Union of the projected level-n intervals at angle theta."""
@@ -304,11 +267,16 @@ class _ProjectionRecursion:
     @classmethod
     def of(cls, ifs, ns, body):
         """The recursion of (ifs, ns, body), the enclosing disk where body is
-        None; None where ns is empty or negative, or where its angle keys
-        would pass MERGE_CAP merges per angle."""
+        None, for a non-empty set of levels ns >= 0; LevelTooLarge where its
+        angle keys would pass MERGE_CAP merges per angle, raised before any
+        work."""
         ns = set(ns)
         if not ns or min(ns) < 0:
-            return None
+            raise PreconditionViolated("a non-empty set of levels >= 0 required")
+        refusal = LevelTooLarge(f"the pass to level {max(ns)} passes {MERGE_CAP} level-key merges per angle")
+        # every level of the pass merges at least the home key
+        if max(ns) > MERGE_CAP:
+            raise refusal
         # the non-homothety (theta, orient) classes in order of appearance
         classes = [c for c in dict.fromkeys((f.theta, f.orient) for f in ifs.maps) if c != (0.0, 1)]
         # map i sends a key to o_i (key - step_i), step_i its class's unit
@@ -320,7 +288,7 @@ class _ProjectionRecursion:
         for j in range(max(ns), 0, -1):
             merges += len(level)
             if merges > MERGE_CAP:
-                return None
+                raise refusal
             below = (orients * (level[:, None, :] - steps)).reshape(-1, 1 + len(classes))
             if j - 1 in ns:
                 below = np.vstack((below, home))
@@ -332,8 +300,9 @@ class _ProjectionRecursion:
         return cls(ifs, body, ns, [theta for theta, _ in classes], keys[::-1], [None] + children[::-1])
 
     def sweep(self, phis, workers):
-        """(lengths, components): for each requested level, the length and
-        the component count of the projected cover at each angle of phis.
+        """(lengths, components): for each requested level, in ascending
+        order, the length and the component count of the projected cover at
+        each angle of phis.
 
         The angles are cut into contiguous parts, one at one worker and
         2 * workers (at most one per angle) otherwise, mapped in angle order
@@ -341,10 +310,10 @@ class _ProjectionRecursion:
         block, and a block halves, down to one angle, before any step whose
         padded intake would pass BLOCK_CAP.  No result depends on the parts,
         blocks or ``workers``; of failing parts, the first in order raises."""
-        phis = list(phis)
+        phis, levels = list(phis), sorted(self.ns)
         out = (
-            {n: np.empty(len(phis)) for n in self.ns},
-            {n: np.empty(len(phis), dtype=np.intp) for n in self.ns},
+            {n: np.empty(len(phis)) for n in levels},
+            {n: np.empty(len(phis), dtype=np.intp) for n in levels},
         )
         parts = min(len(phis), 1 if workers == 1 else 2 * workers)
         cuts = [len(phis) * p // parts for p in range(parts + 1)] if phis else []
@@ -361,8 +330,11 @@ class _ProjectionRecursion:
                 failed.append(start)
                 raise
 
-        with _thread_map(workers, parts) as mapper:
-            list(mapper(run, cuts, cuts[1:]))
+        if parts < 2:
+            list(map(run, cuts, cuts[1:]))
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(run, cuts, cuts[1:]))
         return out
 
     def _angles(self, phis, j):
@@ -400,12 +372,16 @@ class _ProjectionRecursion:
             if angles > 1 and angles * len(self.children[j]) * row_intake > BLOCK_CAP:
                 return block.halves()
             rows = self.children[j] + (np.arange(angles) * len(self.keys[j - 1]))[:, None, None]
-            # INTERVAL_CAP bounds the intervals one angle's level takes in,
-            # and so the components a level stores
+            # INTERVAL_CAP bounds the intervals one angle's level takes in
+            # over all its keys, and so the components a level stores
             size = block.count[rows].sum(axis=(1, 2))
             over = np.flatnonzero(size > INTERVAL_CAP)
             if len(over):
-                raise LevelTooLarge(f"level {j} merges {size[over[0]]} intervals, over cap {INTERVAL_CAP}")
+                raise LevelTooLarge(
+                    f"level {j} merges {size[over[0]]} intervals, over cap {INTERVAL_CAP} "
+                    "(counted over all the level's angle keys, so a sparse cover can pass it "
+                    "before its m^n cylinders do)"
+                )
             angle = self._angles(phis[block.start : block.stop], j)[..., None]
             shift = tx * np.cos(angle) + ty * np.sin(angle)
             rows, shift = rows.reshape(-1, len(maps)), shift.reshape(-1, len(maps))
@@ -477,29 +453,15 @@ class FavardResult:
 
 def projection_sweep(ifs, ns, thetas, body=None, workers=None):
     """Per-theta lengths for each level in ns (ascending), by the projection
-    recursion where its angle keys fit MERGE_CAP, and by the level sweeper
-    where they do not, or where the recursion passes INTERVAL_CAP on a pass
-    whose m^n intervals the sweeper takes.  The result is a deterministic
+    recursion.  A negative level, or a pass whose angle keys pass MERGE_CAP,
+    is refused before any work; a level whose intake passes INTERVAL_CAP is
+    refused when the pass reaches it.  The result is a deterministic
     function of (ifs, ns, thetas, body) regardless of worker count."""
     ns = sorted(ns)
-    thetas = list(thetas)
-    workers = workers or default_workers()
+    if not ns:
+        return {}
     recursion = _ProjectionRecursion.of(ifs, ns, body)
-    if recursion is not None:
-        try:
-            return recursion.sweep(thetas, workers)[0]
-        except LevelTooLarge:
-            if exceeds(ifs.m, ns[-1], INTERVAL_CAP):
-                raise
-    if ns:
-        _check_cover(ifs.m, ns[-1])  # before any level is swept
-    out = {}
-    sweeper = _LevelSweeper(ifs, body=body)
-    with _thread_map(workers, len(thetas)) as mapper:
-        for n in ns:
-            sweeper.advance_to(n)
-            out[n] = np.array(list(mapper(sweeper.length_at, thetas)))
-    return out
+    return recursion.sweep(list(thetas), workers or default_workers())[0]
 
 
 def favard(ifs, n, K, body=None):

@@ -8,6 +8,10 @@ from pathlib import Path
 import pytest
 from conftest import src_env
 
+from favlab.favard import _LevelSweeper
+from favlab.ifs import IFS
+from favlab.svg import SVG_SIZE
+
 FIG1 = "configs/fig1.json"
 
 
@@ -212,6 +216,25 @@ def test_render_svg(tmp_path):
     ET.fromstring(out6a.read_text())  # valid XML
 
 
+def test_render_svg_projection_bars(tmp_path):
+    # one darkorange bar per component of fig1's level-4 projection at 0.3,
+    # and the bars' widths over the drawing's scale sum to its length
+    import xml.etree.ElementTree as ET
+
+    out = tmp_path / "bars.svg"
+    r = run_cli("render", "--ifs", FIG1, "--depth", "4", "--theta", "0.3", "--svg", str(out))
+    assert r.returncode == 0, r.stderr
+    rects = ET.fromstring(out.read_text()).iter("{http://www.w3.org/2000/svg}rect")
+    widths = [float(rect.get("width")) for rect in rects if rect.get("fill") == "darkorange"]
+    ifs = IFS.from_json(FIG1)
+    sweeper = _LevelSweeper(ifs)
+    sweeper.advance_to(4)
+    assert len(widths) == len(sweeper.merged_at(0.3)) == 14
+    scale = SVG_SIZE / (2.0 * ifs.R0 * 1.1)
+    # each width is printed to 6 decimals
+    assert sum(widths) / scale == pytest.approx(sweeper.length_at(0.3), abs=len(widths) * 5e-7 / scale)
+
+
 def test_decay_fit_pipeline(tmp_path):
     csv = tmp_path / "series.csv"
     rows = ["# favlab test", "n,theta,length"]
@@ -307,6 +330,23 @@ def test_density_reports_profile_error(tmp_path):
     warnings = [ln for ln in r.stderr.splitlines() if ln.startswith("WARNING")]
     assert len(warnings) == 1
     assert "density profile not written: resolution:" in warnings[0]
+    assert out.read_text().splitlines()[1:] == ["r,ratio"]
+
+
+def test_density_reports_underflowed_radius(tmp_path):
+    cert = tmp_path / "pow.json"
+    r = run_cli("relclose", "power", "--ifs", FIG1, "--u", "2", "--v", "3",
+                "--n", "3", "--out", str(cert))
+    assert r.returncode == 0
+    out = tmp_path / "density.csv"
+    # steering to 0.7 takes 14,140 symbols, and the radius b underflows
+    r = run_cli("density", "--ifs", FIG1, "--theta", "0.7", "--n", "8",
+                "--cert", str(cert), "--csv", str(out))
+    assert r.returncode == 0
+    assert " b 0.0 " in r.stdout and "steering_len 14140" in r.stdout
+    warnings = [ln for ln in r.stderr.splitlines() if ln.startswith("WARNING")]
+    assert len(warnings) == 1
+    assert "density profile not written: radius b underflows to 0.0 at log10_b -6746.9" in warnings[0]
     assert out.read_text().splitlines()[1:] == ["r,ratio"]
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import random
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from favlab.errors import (
     LevelTooLarge,
     NonHomogeneous,
     NumericOverflow,
+    PreconditionViolated,
     RhoTooSmall,
 )
 from favlab.favard import (
@@ -642,13 +644,26 @@ def test_fig1_recursion_matches_live_sweeper(ifs):
 
 
 def test_sweep_of_no_angles(ifs):
-    # both paths return one empty array per level
+    # one empty array per level, in ascending order, for the disk and the
+    # hull, and no arrays for no levels
     for body in (None, attractor_hull(ifs)):
         out = projection_sweep(ifs, [0, 3], [], body=body, workers=2)
         assert list(out) == [0, 3] and all(v.shape == (0,) for v in out.values())
+        assert list(projection_sweep(ifs, [9, 2], [], body=body)) == [2, 9]
+        assert projection_sweep(ifs, [], [0.3], body=body) == {}
 
 
-def test_recursion_eligibility(ifs):
+def test_negative_levels_are_refused_before_any_work(ifs, monkeypatch):
+    forms = _record_merges(monkeypatch)
+    for ns in ([-1], [-1, 3], range(-2, 3)):
+        with pytest.raises(PreconditionViolated, match="levels >= 0"):
+            projection_sweep(ifs, ns, [0.3])
+    with pytest.raises(PreconditionViolated, match="levels >= 0"):
+        favard(ifs, -1, 8)
+    assert forms == []
+
+
+def test_recursion_eligibility(ifs, monkeypatch):
     of = FAVARD._ProjectionRecursion.of
     homotheties = corner_ifs()
     mixed = IFS.from_maps(
@@ -661,7 +676,8 @@ def test_recursion_eligibility(ifs):
     assert of(homotheties, [3], None) is not None
     assert of(ifs, [3], attractor_hull(ifs)) is not None
     assert of(mixed, [3], None) is not None
-    assert of(ifs, [], None) is None
+    with pytest.raises(PreconditionViolated):
+        of(ifs, [], None)
     # fig1: one rotating map, so level j of a pass to 6 reads 7 - j keys
     assert [len(rows) for rows in of(ifs, [6], None).keys] == [7, 6, 5, 4, 3, 2, 1]
     # a reflection pairs each key with its mirror: two keys per level
@@ -681,9 +697,14 @@ def test_recursion_eligibility(ifs):
     for below, rows, children in zip(recursion.keys, recursion.keys[1:], recursion.children[1:]):
         for i, f in enumerate(generic.maps):
             assert (below[children[:, i]] == f.orient * (rows - np.eye(5, dtype=int)[1 + i])).all()
-    # a pass to 11 merges 3,686 keys per angle; one to 12 passes MERGE_CAP
+    # a pass to 11 merges 3,686 keys per angle and one to 12 merges 5,325:
+    # a cap between the two refuses the second
+    assert sum(len(rows) for rows in of(generic, [11], None).keys[1:]) == 3686
+    assert sum(len(rows) for rows in of(generic, [12], None).keys[1:]) == 5325
+    monkeypatch.setattr(FAVARD, "MERGE_CAP", 5324)
     assert of(generic, [11], None) is not None
-    assert of(generic, [12], None) is None
+    with pytest.raises(LevelTooLarge, match="the pass to level 12 passes 5324 level-key merges"):
+        of(generic, [12], None)
 
 
 @pytest.mark.parametrize("system", ["fig1", "reflected"])
@@ -858,81 +879,65 @@ def test_one_worker_merge_calls_on_fig1_grid(ifs, monkeypatch):
     assert forms == ["rows"] * 89
 
 
-def test_recursion_caps_merges_before_any_work(ifs, monkeypatch):
-    # past MERGE_CAP no recursion is built, and the level sweeper refuses
-    # the level before any work
+def test_huge_levels_are_refused_promptly(ifs, monkeypatch):
+    # a level past MERGE_CAP is refused before its keys are formed: a
+    # homothety system adds one key per level, and fig1 one more per level
     forms = _record_merges(monkeypatch)
-    with pytest.raises(LevelTooLarge, match=r"3\^100000 intervals exceed cap"):
-        projection_sweep(ifs, [100_000], [0.3], workers=1)
-    with pytest.raises(LevelTooLarge, match="intervals exceed cap"):
-        projection_sweep(corner_ifs(), [10**30], [0.3], workers=1)
-    # the sweeper refuses the top level before it sweeps the lower ones
-    with pytest.raises(LevelTooLarge, match=r"3\^100000 intervals exceed cap"):
-        projection_sweep(ifs, range(2, 100_001), [0.3], workers=1)
+    for system, ns in ((corner_ifs(), [10**30]), (ifs, range(2, 100_001))):
+        t0 = time.perf_counter()
+        with pytest.raises(LevelTooLarge, match=f"passes {FAVARD.MERGE_CAP} level-key merges"):
+            projection_sweep(system, ns, [0.3], workers=1)
+        assert time.perf_counter() - t0 < 1.0
     assert forms == []
-    # fig1's pass to level n merges n (n + 1) / 2 keys per angle; past the
-    # cap the level sweeper takes the pass
+
+
+def test_merge_cap_refuses_before_any_merge(ifs, monkeypatch):
+    # fig1's pass to level n merges n (n + 1) / 2 keys per angle: under a cap
+    # of 15 the pass to 5 runs, and the pass to 6 is refused before any merge
+    forms = _record_merges(monkeypatch)
     monkeypatch.setattr(FAVARD, "MERGE_CAP", 15)
     projection_sweep(ifs, [5], [0.3], workers=1)
     assert forms == ["rows"] * 5
     forms.clear()
-    assert FAVARD._ProjectionRecursion.of(ifs, [6], None) is None
-    lengths = projection_sweep(ifs, [6], [0.3], workers=1)
-    assert forms == ["endpoint"]
-    assert lengths[6][0] == _sweeper_at(ifs, 6).length_at(0.3)
+    with pytest.raises(LevelTooLarge, match="the pass to level 6 passes 15 level-key merges"):
+        projection_sweep(ifs, [2, 6], [0.3, 1.1], workers=2)
+    # one key per level: the pass to 15 fits the cap exactly, and a level past
+    # it is refused before its keys are formed
+    assert FAVARD._ProjectionRecursion.of(corner_ifs(), [15], None) is not None
+    with pytest.raises(LevelTooLarge, match="level 16 passes 15 level-key merges"):
+        projection_sweep(corner_ifs(), [16], [0.3], workers=1)
+    assert forms == []
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_keys_past_merge_cap_take_the_level_sweeper(workers, monkeypatch):
-    # a rotation and a reflection: the pass to 5 merges 1 + 2 + 4 + 7 + 10
-    # keys per angle, past a cap of 20 (the pass to 4 merges 13), so the
-    # lengths are the level sweeper's bits
-    two_classes = IFS.from_maps(
-        [
-            Similitude(r=0.4, theta=1.0, orient=1, tx=0.0, ty=0.0),
-            Similitude(r=0.4, theta=1.0, orient=-1, tx=0.6, ty=0.1),
-        ]
-    )
-    thetas = [0.0, 0.3, math.pi / 2, 1.9]
-    monkeypatch.setattr(FAVARD, "MERGE_CAP", 20)
-    assert FAVARD._ProjectionRecursion.of(two_classes, [2, 4], None) is not None
-    assert FAVARD._ProjectionRecursion.of(two_classes, [2, 5], None) is None
-    lengths = projection_sweep(two_classes, [2, 5], thetas, workers=workers)
-    for n in (2, 5):
-        swept = np.array([_sweeper_at(two_classes, n).length_at(theta) for theta in thetas])
-        assert lengths[n].tobytes() == swept.tobytes()
-    # the hull body takes the same fallback, and its lengths are those of
-    # the dense N x V support matrix
-    hull = attractor_hull(two_classes)
-    assert FAVARD._ProjectionRecursion.of(two_classes, [2, 5], hull) is None
-    lengths = projection_sweep(two_classes, [2, 5], thetas, body=hull, workers=workers)
-    for n in (2, 5):
-        sweeper = _sweeper_at(two_classes, n, body=hull)
-        dense = [merge_intervals(*_dense_hull_intervals(sweeper, theta)).total_length for theta in thetas]
-        assert lengths[n].tobytes() == np.array(dense).tobytes()
+def test_pass_past_the_old_merge_cap_runs_on_the_recursion(monkeypatch):
+    # four classes, one a reflection: the pass to 12 merges 5,325 keys per
+    # angle, past the 4,096 that once handed a pass to the level sweeper;
+    # the sweep never builds it, and its level-11 lengths are the sweeper's
+    system = _seeded_reflected_system(5)
+    thetas = [0.3, 1.9]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("projection_sweep built the level sweeper")
+
+    monkeypatch.setattr(FAVARD, "_LevelSweeper", refuse)
+    lengths = projection_sweep(system, range(2, 13), thetas, workers=2)
+    oracle = [_sweeper_at(system, 11).length_at(theta) for theta in thetas]
+    assert np.allclose(lengths[11], oracle, rtol=1e-13, atol=0.0)
 
 
-def test_recursion_refusal_falls_back_where_the_sweeper_fits(monkeypatch):
+def test_recursion_refuses_a_sparse_cover_whose_level_fits(monkeypatch):
     # covers that do not overlap: a pass to 6 takes in 67 intervals at level
-    # 3 over its 10 keys, more than the 2^6 cylinders of level 6, so under
-    # a cap of 64 the recursion refuses and the level sweeper serves the
-    # pass; under 63 both refuse and the recursion's error stands
+    # 3 over its 10 keys, more than the 2^6 cylinders of level 6, so under a
+    # cap of 64 the recursion refuses a pass whose cover would fit
     sparse = IFS.from_maps(
         [
             Similitude(r=0.2, theta=1.0, orient=1, tx=0.0, ty=0.0),
             Similitude(r=0.2, theta=2.5, orient=-1, tx=1.0, ty=0.3),
         ]
     )
-    levels = range(0, 7)
     monkeypatch.setattr(FAVARD, "INTERVAL_CAP", 64)
-    with pytest.raises(LevelTooLarge, match="level 3 merges 67 intervals, over cap 64"):
-        FAVARD._ProjectionRecursion.of(sparse, levels, None).sweep([0.3], 1)
-    lengths = projection_sweep(sparse, levels, [0.3], workers=1)
-    for n in levels:
-        assert lengths[n][0] == _sweeper_at(sparse, n).length_at(0.3)
-    monkeypatch.setattr(FAVARD, "INTERVAL_CAP", 63)
-    with pytest.raises(LevelTooLarge, match="merges .* intervals, over cap 63"):
-        projection_sweep(sparse, levels, [0.3], workers=1)
+    with pytest.raises(LevelTooLarge, match="level 3 merges 67 intervals, over cap 64 .*m\\^n"):
+        projection_sweep(sparse, range(0, 7), [0.3], workers=1)
 
 
 def test_recursion_caps_level_merges_not_the_cover(ifs, monkeypatch):
