@@ -909,20 +909,27 @@ def test_merge_cap_refuses_before_any_merge(ifs, monkeypatch):
     assert forms == []
 
 
-def test_pass_past_the_old_merge_cap_runs_on_the_recursion(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pass_past_the_old_merge_cap_runs_on_the_recursion(workers, monkeypatch):
     # four classes, one a reflection: the pass to 12 merges 5,325 keys per
     # angle, past the 4,096 that once handed a pass to the level sweeper;
-    # the sweep never builds it, and its level-11 lengths are the sweeper's
+    # the sweep never builds it, its level-11 lengths are the sweeper's, and
+    # the hull body's level-8 lengths are those of the dense N x V matrix
     system = _seeded_reflected_system(5)
+    hull = attractor_hull(system)
     thetas = [0.3, 1.9]
 
     def refuse(*args, **kwargs):
         raise AssertionError("projection_sweep built the level sweeper")
 
     monkeypatch.setattr(FAVARD, "_LevelSweeper", refuse)
-    lengths = projection_sweep(system, range(2, 13), thetas, workers=2)
+    lengths = projection_sweep(system, range(2, 13), thetas, workers=workers)
+    hull_lengths = projection_sweep(system, range(2, 13), thetas, body=hull, workers=workers)
     oracle = [_sweeper_at(system, 11).length_at(theta) for theta in thetas]
     assert np.allclose(lengths[11], oracle, rtol=1e-13, atol=0.0)
+    hull_sweeper = _sweeper_at(system, 8, body=hull)
+    dense = [merge_intervals(*_dense_hull_intervals(hull_sweeper, theta)).total_length for theta in thetas]
+    assert np.allclose(hull_lengths[8], dense, rtol=1e-13, atol=0.0)
 
 
 def test_recursion_refuses_a_sparse_cover_whose_level_fits(monkeypatch):
