@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import __version__
-from .errors import ConfigError, FavlabError, NumericOverflow
+from .errors import ConfigError, FavlabError, Indeterminate, NumericOverflow, RationalAlpha
 from .exprs import parse_expr
 from .ifs import IFS, attractor_hull, parse_word
 from .favard import (
@@ -85,8 +85,7 @@ def cmd_dim(args):
 def cmd_render(args):
     ifs = IFS.from_json(args.ifs)
     theta = parse_expr(args.theta).value if args.theta else None
-    doc = render_svg(ifs, args.depth, theta=theta)
-    emit(doc, args.svg)
+    emit(render_svg(ifs, args.depth, theta=theta), args.svg)
     return 0
 
 
@@ -99,8 +98,6 @@ def cmd_favard(args):
         rows.append(f"{args.n},{theta!r},{length!r}\n")
     rows.append(f"{args.n},{res.value!r},{res.max_over_theta!r}\n")
     emit("".join(rows), args.csv)
-    if args.svg:
-        emit(render_svg(ifs, min(args.n, 6)), args.svg)
     if args.csv:
         print(f"favard {res.value} max_over_theta {res.max_over_theta}")
     return 0
@@ -170,8 +167,9 @@ def cmd_density(args):
         print(f"WARNING density profile not written: radius b underflows to 0.0 at log10_b {wit.log10_b}",
               file=sys.stderr)
     emit("".join(rows), args.csv)
+    b = f" b {wit.b}" if wit.b > 0.0 else ""
     print(
-        f"x {wit.x} b {wit.b} log10_b {wit.log10_b} ratio {wit.ratio} "
+        f"x {wit.x}{b} log10_b {wit.log10_b} ratio {wit.ratio} "
         f"steering_len {wit.steering_word_len}"
     )
     return 0
@@ -189,7 +187,13 @@ def cmd_visible(args):
 
 def cmd_dioph(args):
     alpha = parse_expr(args.alpha)
-    prof = diophantine_profile(alpha.as_fraction(), args.nmax, args.d)
+    try:
+        prof = diophantine_profile(alpha.as_fraction(), args.nmax, args.d)
+    except RationalAlpha:
+        if alpha.exact is None:  # the expansion of an irrational's truncation ended
+            raise Indeterminate(f"precision exhausted: the 40-digit value of {args.alpha!r} "
+                                "has a finite expansion within nmax") from None
+        raise
     print(f"c_hat {prof.c_hat} d_hat {prof.d_hat}")
     print("N,M,residual")
     for n, m, res in prof.convergents:
@@ -307,7 +311,6 @@ def build_parser():
     sp.add_argument("--angles", type=positive, required=True)
     sp.add_argument("--hull", action="store_true")
     sp.add_argument("--csv")
-    sp.add_argument("--svg")
 
     sp = add("fit", cmd_decay_fit, commands("decay"))
     sp.add_argument("--csv", required=True)

@@ -29,10 +29,6 @@ class RationalAlpha(FavlabError):
     code = "rational-alpha"
 
 
-class NoReflectorAvailable(FavlabError):
-    code = "no-reflector"
-
-
 class BudgetExhausted(FavlabError):
     code = "budget"
 

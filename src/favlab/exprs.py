@@ -16,7 +16,6 @@ import mpmath
 
 from .errors import ConfigError
 
-FRACTION_BITS = 130  # binary digits of the rational truncation of an irrational
 _TOKEN = re.compile(r"\s*(\d+\.\d*|\.\d+|\d+|pi|sqrt|[()+\-*/])")
 
 
@@ -29,11 +28,12 @@ class ExprValue:
         self.value = float(mp)
 
     def as_fraction(self):
-        """Exact value if rational, else a 2^-FRACTION_BITS binary truncation."""
+        """Exact value if rational, else the exact binary value of the
+        40-digit mpf, 136 bits."""
         if self.exact is not None:
             return self.exact
-        scaled = mpmath.floor(self.mp * mpmath.mpf(2) ** FRACTION_BITS)
-        return Fraction(int(scaled), 2**FRACTION_BITS)
+        man, exp = self.mp.man_exp
+        return Fraction(man) * Fraction(2) ** exp
 
 
 def _tokenize(text):
@@ -117,7 +117,10 @@ def parse_expr(text):
         return mp, ex
 
     with mpmath.workdps(40):
-        mp, ex = expr()
+        try:
+            mp, ex = expr()
+        except RecursionError:
+            raise ConfigError("expression nests too deeply") from None
         if idx[0] != len(tokens):
             raise ConfigError(f"trailing input in {text!r}")
         value = ExprValue(+mp, ex)

@@ -23,8 +23,8 @@ n = 18 and stops at n = 19, and a sparse cover can pass INTERVAL_CAP at a
 level whose m^n cylinders fit it.
 
 The level sweeper keeps the level-n cover as one ``CylinderBatch`` and
-projects every cylinder at an angle.  It is the cover of ``svg.render_svg``
-and the tests' oracle, and no sweep uses it.
+projects every cylinder at an angle.  It is the tests' oracle, and nothing
+in the package uses it.
 
 FAVLAB_THREADS (an integer >= 1, default min(4, CPUs)) sets the threads of
 the one pool a sweep builds, over which the recursion maps parts of its
@@ -53,12 +53,11 @@ from .errors import (
     PreconditionViolated,
     RhoTooSmall,
 )
-from .ifs import CylinderBatch, DiskBody
+from .ifs import BAND_DEPTH_CAP, CylinderBatch, DiskBody
 
 INTERVAL_CAP = 2**24  # intervals one angle's recursive level takes in, over all its keys
 MERGE_CAP = 2**16  # (level, angle key) merges per angle of a recursive pass
 BLOCK_CAP = 2**16  # padded intervals one recursive level step takes in
-RHO_CAP_LEVEL = 600  # r_min^level floor for the neighborhood sweep
 
 
 @dataclass
@@ -146,10 +145,9 @@ def default_workers():
 
 class _LevelSweeper:
     """Incrementally maintained level-n cylinder cover for one system, with
-    no cap of its own: the reference cover of the tests and of
-    ``svg.render_svg``.  A disk body's cover is anchored at the disk's
-    centre, a hull body's at the origin, where its images are the
-    cylinders' translations."""
+    no cap of its own: the reference cover of the tests.  A disk body's
+    cover is anchored at the disk's centre, a hull body's at the origin,
+    where its images are the cylinders' translations."""
 
     def __init__(self, ifs, body=None):
         self.ifs = ifs
@@ -430,8 +428,8 @@ def neighborhood_projection_length(ifs, rho, theta):
     intervals of the enclosing disk padded by rho, merged."""
     if not (0.0 < rho < 1.0):
         raise PreconditionViolated("rho in (0,1) required")
-    if rho < ifs.r_min**RHO_CAP_LEVEL:
-        raise RhoTooSmall(f"rho below r_min^{RHO_CAP_LEVEL}")
+    if rho < ifs.r_min**BAND_DEPTH_CAP:
+        raise RhoTooSmall(f"rho below r_min^{BAND_DEPTH_CAP}")
     body = DiskBody(ifs.center, ifs.R0)
     band = ifs.band(rho)
     los, his = np.empty(len(band)), np.empty(len(band))

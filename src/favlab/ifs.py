@@ -33,6 +33,7 @@ TWO_PI = 2.0 * math.pi
 Word = tuple  # tuple of 1-based symbols
 TAIL_CACHE = 4096  # anchor tails held per system
 BAND_CAP = 2_000_000  # words of one mass band
+BAND_DEPTH_CAP = 600  # levels of the recursive mass-band descent
 HULL_DEPTH = 6  # attractor sample depth of the hull
 HULL_SAMPLE_CAP = 200_000  # sample points past which the hull stops refining
 HULL_TOL = 1e-9  # containment slack of the hull invariance check
@@ -360,6 +361,12 @@ class IFS:
         if not (0.0 < r < 1.0):
             raise ConfigError(f"band level {r} outside (0,1)")
         low = r * self.r_min
+        # the descent recurses once a level, deepest along the largest ratio
+        depth, r_s, r_max = 0, 1.0, max(f.r for f in self.maps)
+        while r_s * r_max > low:
+            depth, r_s = depth + 1, r_s * r_max
+            if depth > BAND_DEPTH_CAP:
+                raise LevelTooLarge(f"mass band {r} descends past level {BAND_DEPTH_CAP}")
         out = Band()
         rows = tuple(self._rows.items())
         cos, sin, fmod = math.cos, math.sin, math.fmod

@@ -166,21 +166,19 @@ def _arc_pieces(starts, widths):
 
 def _merge_circular_arcs(lo, hi):
     """Union of closed pieces of [0, 2*pi], as ``_arc_pieces`` cuts them.
-    Returns (components, full_circle, merged): the components as (start,
-    length) in circular order, where a piece ending at 2*pi joins one
-    starting at 0, and as the one component (0, 2*pi) once their lengths sum
-    to 2*pi within 1e-15; and the merged pieces, an IntervalSet that a later
-    union may take in place of the pieces they came from."""
-    merged = merge_intervals(lo, hi)
-    comps = merged.intervals
+    Returns (components, full_circle): the components as (start, length) in
+    circular order, where a piece ending at 2*pi joins one starting at 0,
+    and as the one component (0, 2*pi) once their lengths sum to 2*pi within
+    1e-15."""
+    comps = merge_intervals(lo, hi).intervals
     if len(comps) >= 2 and comps[0][0] <= 0.0 and comps[-1][1] >= TWO_PI:
         # the wrap joins the first and last pieces into one circular component
         first, last = comps[0], comps[-1]
         comps = [(last[0] - TWO_PI, first[1])] + comps[1:-1]
     total = sum(hi_ - lo_ for lo_, hi_ in comps)
     if total >= TWO_PI - 1e-15:
-        return [(0.0, TWO_PI)], True, merged
-    return [(lo_, hi_ - lo_) for lo_, hi_ in comps], False, merged
+        return [(0.0, TWO_PI)], True
+    return [(lo_, hi_ - lo_) for lo_, hi_ in comps], False
 
 
 def _inside(los, his, lo, hi):
@@ -297,7 +295,7 @@ def visibility_estimate(ifs, a, s, n):
     sample.append(_arcs(*_seen_from(cover, a, ifs)))
     starts, widths = map(np.concatenate, zip(*sample))
     widest = widths.max()
-    held = _merge_circular_arcs(*_arc_pieces(starts, widths))[2]
+    held = merge_intervals(*_arc_pieces(starts, widths))
 
     # The words of a far block p have disks of radius at most
     # r_p r_max^(n-k) R0 at distance at least d_p - r_p R0 from a, which bounds
@@ -323,7 +321,7 @@ def visibility_estimate(ifs, a, s, n):
     lo, hi = _arc_pieces(starts, widths)
     # a piece that lies inside one of L's leaves the union as it is
     new = ~_inside(held.los, held.his, lo, hi)
-    comps, full, _ = _merge_circular_arcs(
+    comps, full = _merge_circular_arcs(
         np.concatenate((held.los, lo[new])), np.concatenate((held.his, hi[new]))
     )
     delta = float(max(widest, widths.max(initial=0.0)))

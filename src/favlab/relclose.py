@@ -22,14 +22,13 @@ from .errors import (
     BudgetExhausted,
     ConfigError,
     Indeterminate,
-    NoReflectorAvailable,
     NumericOverflow,
     PreconditionViolated,
     VerificationFailed,
 )
 from .ifs import TWO_PI, TailWord, circ_dist, finite_number, norm_angle, parse_word, word_str
 from .projection import project
-from .rotation import NET_P_MAX, epsilon_net, find_rotation_word, sigma_arithmetic
+from .rotation import find_rotation_word, reflector, sigma_arithmetic, steering_copies
 
 PAIR_BAND_CAP = 500_000  # words of one mass band of the pair search
 
@@ -205,22 +204,6 @@ def _perp_direction(ifs, u, v, omega):
     return norm_angle(math.atan2(dy, dx) + 0.5 * math.pi)
 
 
-def _steering_copies(ifs, th_u, th_v, target, eps, a):
-    """Least j <= p with both angles plus j copies of a's angle within eps of
-    target, p the size of the eps/2-net of a's orbit; None if no j hits.  The
-    angles themselves are tried first, with neither a's geometry nor its net."""
-    if circ_dist(th_u, target) < eps and circ_dist(th_v, target) < eps:
-        return 0
-    ga = ifs.compose(a)
-    net = epsilon_net(ga.theta, eps / 2.0, NET_P_MAX)
-    for j in range(1, net.p + 1):
-        du = circ_dist(th_u + j * ga.theta, target)
-        dv = circ_dist(th_v + j * ga.theta, target)
-        if du < eps and dv < eps:
-            return j
-    return None
-
-
 def find_pair(ifs, eps, phi=None, budget=None):
     """Search for a distinct relatively-close pair plus its angle.
 
@@ -255,14 +238,12 @@ def find_pair(ifs, eps, phi=None, budget=None):
         iu, iv = collision
         u, v, gu, gv = band.words[iu], band.words[iv], band[iu], band[iv]
         if gu.orient == -1:
-            i0 = next((i for i, f in enumerate(ifs.maps, start=1) if f.orient == -1), None)
-            if i0 is None:
-                raise NoReflectorAvailable("collision has orientation -1")
+            i0 = reflector(ifs)
             u, v = u + (i0,), v + (i0,)
             gu, gv = ifs.compose((i0,), gu), ifs.compose((i0,), gv)
         theta = _perp_direction(ifs, u, v, omega)
         if phi is not None:
-            j = _steering_copies(ifs, gu.theta, gv.theta, phi(theta), eps, a)
+            j = steering_copies(ifs, (gu.theta, gv.theta), phi(theta), eps, a, eps / 2.0)
             if j is None:
                 continue
             u, v = u + a * j, v + a * j

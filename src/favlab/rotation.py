@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import (
     NoNetWithinBound,
-    NoReflectorAvailable,
     NumericOverflow,
     PreconditionViolated,
     RationalAlpha,
@@ -250,24 +249,37 @@ def find_rotation_word(ifs, eps):
     raise NoNetWithinBound(f"no rotation power within {eps} in {ROTATION_K_MAX} steps")
 
 
-def steering_suffix(ifs, base, phi, eps, a_word):
-    """Suffix t of <= p copies of a_word (optionally after one reflecting
-    symbol) with orientation(base.t) = +1 and |theta(base.t) - phi| < eps."""
+def reflector(ifs):
+    """The symbol of the first reflecting map, which turns a word of
+    orientation -1 to +1; such a word holds a reflecting symbol."""
+    return next(i for i, f in enumerate(ifs.maps, start=1) if f.orient == -1)
+
+
+def steering_copies(ifs, thetas, phi, eps, a_word, net_eps):
+    """Least j <= p with every angle of thetas plus j copies of a_word's angle
+    within eps of phi, p the size of the net_eps-net of a_word's orbit; None
+    if no j hits.  The angles themselves (j = 0) are tried first, before
+    a_word is composed or its net built."""
+    if all(circ_dist(t, phi) < eps for t in thetas):
+        return 0
     ga = ifs.compose(a_word)
     if ga.orient != 1:
         raise PreconditionViolated("a_word must have orientation +1")
-    gb = ifs.compose(base)
-    head = ()
-    if gb.orient == -1:
-        i0 = next((i for i, f in enumerate(ifs.maps, start=1) if f.orient == -1), None)
-        if i0 is None:
-            raise NoReflectorAvailable("orientation -1 base and no reflecting map")
-        head = (i0,)
-        gb = ifs.compose(base + head)
-    if circ_dist(gb.theta, phi) < eps:
-        return head
-    net = epsilon_net(ga.theta, eps, NET_P_MAX)
+    net = epsilon_net(ga.theta, net_eps, NET_P_MAX)
     for j in range(1, net.p + 1):
-        if circ_dist(gb.theta + j * ga.theta, phi) < eps:
-            return head + a_word * j
-    raise NoNetWithinBound("net promised a hit but the scan found none")
+        if all(circ_dist(t + j * ga.theta, phi) < eps for t in thetas):
+            return j
+    return None
+
+
+def steering_suffix(ifs, base, phi, eps, a_word):
+    """Suffix t of <= p copies of a_word (optionally after one reflecting
+    symbol) with orientation(base.t) = +1 and |theta(base.t) - phi| < eps,
+    p the size of the eps-net of a_word's orbit."""
+    gb = ifs.compose(base)
+    head = (reflector(ifs),) if gb.orient == -1 else ()
+    gb = ifs.compose(head, gb)
+    j = steering_copies(ifs, (gb.theta,), phi, eps, a_word, eps)
+    if j is None:
+        raise NoNetWithinBound("net promised a hit but the scan found none")
+    return head + a_word * j

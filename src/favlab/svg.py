@@ -6,8 +6,9 @@ from __future__ import annotations
 import math
 
 from .errors import LevelTooLarge
-from .favard import _LevelSweeper
+from .favard import merge_intervals
 from .ifs import exceeds
+from .projection import _level_cover
 
 SVG_SIZE = 640  # pixels across the point cloud
 GLYPH_CAP = 200_000  # circles of one drawing
@@ -24,9 +25,7 @@ def render_svg(ifs, depth, theta=None):
     """
     if exceeds(ifs.m, depth, GLYPH_CAP):
         raise LevelTooLarge(f"{ifs.m}^{depth} glyphs exceed cap {GLYPH_CAP}")
-    sweeper = _LevelSweeper(ifs)
-    sweeper.advance_to(depth)
-    cover = sweeper.cover
+    cover = _level_cover(ifs, ifs.center, depth)
     radii = cover.r * ifs.R0
     cx, cy = ifs.center
     r0 = max(ifs.R0, 1e-9)
@@ -53,7 +52,8 @@ def render_svg(ifs, depth, theta=None):
             'fill="steelblue" fill-opacity="0.6"/>'
         )
     if theta is not None:
-        merged = sweeper.merged_at(theta)
+        mid = cover.project(theta)
+        merged = merge_intervals(mid - radii, mid + radii)
         y0 = SVG_SIZE + 10
         for a, b in merged.intervals:
             x0 = (a - (cx * math.cos(theta) + cy * math.sin(theta))) * scale + SVG_SIZE / 2.0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -10,7 +11,7 @@ from conftest import src_env
 
 from favlab.favard import _LevelSweeper
 from favlab.ifs import IFS
-from favlab.svg import SVG_SIZE
+from favlab.svg import SVG_SIZE, render_svg
 
 FIG1 = "configs/fig1.json"
 
@@ -235,6 +236,40 @@ def test_render_svg_projection_bars(tmp_path):
     assert sum(widths) / scale == pytest.approx(sweeper.length_at(0.3), abs=len(widths) * 5e-7 / scale)
 
 
+# sha256 of `favlab render --ifs fig1 --depth D --theta T`, as drawn from the
+# level sweeper's cover and bars before the drawing took projection's cover
+RENDER_SHA256 = {
+    (4, "0.3"): "736da04610fd567f0611597f2f8a94b248d0d906a91aa80fc45dadbdbfda697d",
+    (5, "1.1"): "23864915d9ded3817df355f782a5b136f0c3498f4d99936720df1d8c0e1c5cf4",
+    (6, "2.0"): "58f90744bbb55b1196038463d27262d93d05a386c0a12d8a2a9202d86c376993",
+}
+
+
+@pytest.mark.parametrize("depth, theta", sorted(RENDER_SHA256))
+def test_render_svg_bytes_are_pinned(depth, theta):
+    r = run_cli("render", "--ifs", FIG1, "--depth", str(depth), "--theta", theta)
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == RENDER_SHA256[depth, theta]
+
+
+def test_render_svg_needs_no_level_sweeper(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("render_svg built the level sweeper")
+
+    monkeypatch.setattr(_LevelSweeper, "__init__", refuse)
+    doc = render_svg(IFS.from_json(FIG1), 4, theta=0.3)
+    assert hashlib.sha256(doc.encode()).hexdigest() == RENDER_SHA256[4, "0.3"]
+
+
+def test_favard_has_no_svg_flag(tmp_path):
+    # favlab render is the one drawing command
+    r = run_cli("favard", "--ifs", FIG1, "--n", "2", "--angles", "4", "--svg",
+                str(tmp_path / "x.svg"))
+    assert r.returncode == 2
+    assert "unrecognized arguments: --svg" in r.stderr
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_decay_fit_pipeline(tmp_path):
     csv = tmp_path / "series.csv"
     rows = ["# favlab test", "n,theta,length"]
@@ -343,7 +378,9 @@ def test_density_reports_underflowed_radius(tmp_path):
     r = run_cli("density", "--ifs", FIG1, "--theta", "0.7", "--n", "8",
                 "--cert", str(cert), "--csv", str(out))
     assert r.returncode == 0
-    assert " b 0.0 " in r.stdout and "steering_len 14140" in r.stdout
+    # b is printed only where it is positive; log10_b carries it
+    assert " b " not in r.stdout
+    assert " log10_b -6746.9" in r.stdout and "steering_len 14140" in r.stdout
     warnings = [ln for ln in r.stderr.splitlines() if ln.startswith("WARNING")]
     assert len(warnings) == 1
     assert "density profile not written: radius b underflows to 0.0 at log10_b -6746.9" in warnings[0]
@@ -434,19 +471,26 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
         ("run_fig1_sweep.py", ["--n-max", "-1"], 2, "argument --n-max: must be >= 0"),
         ("run_fig1_sweep.py", ["--n-max", "3", "--out", "{tmp}/absent/out.csv"], 2,
          "ERROR config: cannot write"),
-        ("fit_fig1_decay.py", ["--csv", "{tmp}/absent.csv"], 2, "ERROR config: cannot read"),
-        ("fit_fig1_decay.py", ["--csv", "{tmp}/short.csv"], 1, "ERROR degenerate-fit:"),
-        ("fit_fig1_decay.py", ["--csv", "{tmp}/short.csv", "--d", "0"], 2,
+        # the decay fit is favlab decay fit; its missing CSV is in test_missing_file_exit2
+        ("favlab", ["decay", "fit", "--csv", "{tmp}/short.csv"], 1, "ERROR degenerate-fit:"),
+        ("favlab", ["decay", "fit", "--csv", "{tmp}/short.csv", "--d", "0"], 2,
          "argument --d: must be > 0"),
+        # the mass band of ratios 0.999 and 0.1 descends ~4,600 levels
+        ("build_family.py", ["--ifs", "{tmp}/skew.json", "--size", "2"], 1,
+         "ERROR level-too-large:"),
         ("build_family.py", ["--eps", "0"], 2, "argument --eps: must be > 0"),
         ("build_family.py", ["--eps", "1e-9", "--size", "2"], 1, "ERROR no-net:"),
     ],
 )
 def test_script_errors_exit_without_traceback(tmp_path, script, argv, code, last):
     (tmp_path / "short.csv").write_text("n,theta,length\n3,0.1,0.5\n4,0.1,0.4\n")
+    (tmp_path / "skew.json").write_text(json.dumps({"maps": [
+        {"r": 0.999, "theta": 0.0, "tx": 0.0, "ty": 0.0},
+        {"r": 0.1, "theta": 1.0, "tx": 1.0, "ty": 0.0},
+    ]}))
+    command = ["-m", "favlab.cli"] if script == "favlab" else [str(SCRIPTS / script), "--ifs", FIG1]
     r = subprocess.run(
-        [sys.executable, str(SCRIPTS / script), "--ifs", FIG1,
-         *(arg.format(tmp=tmp_path) for arg in argv)],
+        [sys.executable, *command, *(arg.format(tmp=tmp_path) for arg in argv)],
         capture_output=True, text=True, env=src_env(), timeout=120,
     )
     assert r.returncode == code

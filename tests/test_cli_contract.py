@@ -98,6 +98,11 @@ def files(tmp_path_factory):
         {"r": 0.5, "theta": 0.0, "tx": 1e307, "ty": 1e307},
         {"r": 0.5, "theta_over_pi": 0.7, "tx": 0.0, "ty": 0.0},
     ]}))
+    # a mass band of these ratios descends ~4,600 levels along the first map
+    (root / "skew.json").write_text(json.dumps({"maps": [
+        {"r": 0.999, "theta": 0.0, "tx": 0.0, "ty": 0.0},
+        {"r": 0.1, "theta": 1.0, "tx": 1.0, "ty": 0.0},
+    ]}))
     return root
 
 
@@ -236,10 +241,21 @@ def _run(argv):
         (["favard", "--ifs", FIG1, "--n", str(10**30), "--angles", "4"], 1,
          "ERROR level-too-large:"),
         (["render", "--ifs", FIG1, "--depth", str(10**30)], 1, "ERROR level-too-large:"),
+        # inputs that once ended in a RecursionError
+        (["relclose", "find", "--ifs", "{skew}", "--eps", "0.01"], 1, "ERROR level-too-large:"),
+        (["net", "--theta-over-pi", "(" * 400 + "1" + ")" * 400, "--eps", "0.1"], 2,
+         "ERROR config: expression nests too deeply"),
+        (["net", "--theta-over-pi=" + "-" * 1500 + "1", "--eps", "0.1"], 2,
+         "ERROR config: expression nests too deeply"),
+        # the expansion of sqrt(2)'s 136-bit value ends near 2^135; it is not rational
+        (["dioph", "--alpha", "sqrt(2)", "--nmax", str(10**45), "--d", "2"], 1,
+         "ERROR indeterminate: precision exhausted"),
+        (["dioph", "--alpha", "1/3", "--nmax", "100", "--d", "2"], 1, "ERROR rational-alpha:"),
     ],
 )
 def test_boundary_inputs(files, argv, code, last):
-    paths = {"series": files / "series.csv", "near_limit": files / "near_limit.json"}
+    paths = {"series": files / "series.csv", "near_limit": files / "near_limit.json",
+             "skew": files / "skew.json"}
     got, stdout, line = _run([a.format(**paths) for a in argv])
     assert (got, stdout) == (code, "")
     assert last in line

@@ -5,12 +5,9 @@ the Similitude geometry and the shared decay-CSV reader."""
 
 import math
 import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
-from conftest import src_env
 
 from favlab.errors import ConfigError
 from favlab import ifs as ifs_mod
@@ -295,31 +292,3 @@ def test_decay_fit_of_a_sweep_csv_matches_favard_values(tmp_path):
     csv.write_text("\n".join(rows) + "\n")
     for (n, got), (_, want) in zip(decay_samples(csv.read_text()), values):
         assert got == pytest.approx(want, rel=1e-15)
-
-
-def test_decay_fit_cli_and_script_agree(tmp_path):
-    csv = tmp_path / "sweep.csv"
-    csv.write_text(DECAY_CSV)
-    cli = subprocess.run(
-        [sys.executable, "-m", "favlab.cli", "decay", "fit", "--csv", str(csv)],
-        capture_output=True, text=True, timeout=120, env=src_env(),
-    )
-    script = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "fit_fig1_decay.py"), "--csv", str(csv),
-         "--ifs", str(ROOT / "configs" / "fig1.json")],
-        capture_output=True, text=True, timeout=120, env=src_env(),
-    )
-    assert cli.returncode == 0, cli.stderr
-    assert script.returncode == 0, script.stderr
-    first = cli.stdout.splitlines()[0].split()
-    fields = dict(zip(first[::2], first[1::2]))
-    script_fields = dict(kv.split("=") for kv in script.stdout.splitlines()[0].split()[:2])
-    for key in ("A_hat", "B_hat"):
-        assert f"{float(fields[key]):.6f}" == script_fields[key]
-    # the same levels and observed means in both tables
-    cli_rows = cli.stdout.splitlines()[2:]
-    script_rows = script.stdout.splitlines()[3:]
-    assert [r.split(",")[0] for r in cli_rows] == [r.split(",")[0] for r in script_rows]
-    assert [f"{float(r.split(',')[1]):.6f}" for r in cli_rows] == [
-        r.split(",")[1] for r in script_rows
-    ]

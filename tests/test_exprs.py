@@ -5,6 +5,7 @@ import pytest
 
 from favlab.errors import ConfigError
 from favlab.exprs import parse_expr
+from favlab.rotation import diophantine_profile
 
 
 def test_literals_and_pi():
@@ -32,8 +33,19 @@ def test_exact_rationals_tracked():
 def test_as_fraction_high_precision():
     fr = parse_expr("1/3").as_fraction()
     assert fr == Fraction(1, 3)
+    # the 40-digit value of sqrt(2) is its 136-bit rounding, exactly
     fr2 = parse_expr("sqrt(2)").as_fraction()
-    assert abs(float(fr2) - math.sqrt(2)) < 1e-30 or fr2.denominator > 10**20
+    assert fr2.denominator == 2**135
+    assert abs(fr2 * fr2 - 2) < Fraction(1, 2**134)
+
+
+def test_sqrt2_convergents_are_the_pell_denominators():
+    pell = [1, 2]
+    while 2 * pell[-1] + pell[-2] <= 10**12:
+        pell.append(2 * pell[-1] + pell[-2])
+    prof = diophantine_profile(parse_expr("sqrt(2)").as_fraction(), 10**12, 2.0)
+    assert [q for q, _, _ in prof.convergents] == pell
+    assert pell[-2:] == [259717522849, 627013566048]
 
 
 def test_rejects_garbage():

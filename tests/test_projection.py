@@ -107,8 +107,7 @@ def _arc_cover_oracle(arcs, samples=20000):
 
 def _merge_circular_arcs(starts, widths):
     """(components, full_circle) of the union of the arcs."""
-    comps, full, _ = projection._merge_circular_arcs(*_arc_pieces(starts, widths))
-    return comps, full
+    return projection._merge_circular_arcs(*_arc_pieces(starts, widths))
 
 
 @settings(max_examples=60, deadline=None)
@@ -407,9 +406,9 @@ def test_visibility_at_cylinder_centre_matches_dense(ifs):
 
 def test_visibility_prunes_without_adding_work(ifs, monkeypatch):
     # every arc the descent forms goes through _arcs, and every union
-    # through _merge_circular_arcs
+    # through merge_intervals
     formed, merged = [], []
-    arcs, merge = projection._arcs, projection._merge_circular_arcs
+    arcs, merge = projection._arcs, projection.merge_intervals
 
     def counting_arcs(dx, *rest):
         formed.append(len(dx))
@@ -420,7 +419,7 @@ def test_visibility_prunes_without_adding_work(ifs, monkeypatch):
         return merge(lo, hi)
 
     monkeypatch.setattr(projection, "_arcs", counting_arcs)
-    monkeypatch.setattr(projection, "_merge_circular_arcs", counting_merge)
+    monkeypatch.setattr(projection, "merge_intervals", counting_merge)
     system, rng = _seeded_system(1)
     n = 9
     visibility_estimate(system, _centres(system, rng)["outside"], 1.0, n)

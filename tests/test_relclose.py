@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from favlab import relclose
+from favlab import relclose, rotation
 from favlab.errors import ConfigError, NoNetWithinBound, PreconditionViolated, VerificationFailed
 from favlab.ifs import IFS, Similitude, TailWord, norm_angle
 from favlab.relclose import (
@@ -204,13 +204,13 @@ def test_find_pair_steers_from_the_fixed_orientation(target, steps):
 def test_find_pair_takes_an_unsteered_hit_without_the_net(monkeypatch):
     # no 0.15-net of a's orbit fits in 5 points, but the pair (2, 2), (3, 2)
     # already sits at angle 0, so it needs no copy of a
-    monkeypatch.setattr(relclose, "NET_P_MAX", 5)
+    monkeypatch.setattr(rotation, "NET_P_MAX", 5)
     cert = find_pair(steered_system(), 0.3, phi=lambda th: 0.0)
     assert cert.words == ((2, 2), (3, 2))
 
 
 def test_find_pair_that_must_steer_still_needs_the_net(monkeypatch):
-    monkeypatch.setattr(relclose, "NET_P_MAX", 5)
+    monkeypatch.setattr(rotation, "NET_P_MAX", 5)
     with pytest.raises(NoNetWithinBound) as e:
         find_pair(steered_system(), 0.3, phi=lambda th: 4.0)
     assert str(e.value) == "no-net: no eps-net with p <= 5 for theta1=0.1, eps=0.15"
