@@ -187,12 +187,21 @@ def cmd_visible(args):
 
 def cmd_dioph(args):
     alpha = parse_expr(args.alpha)
+    exhausted = Indeterminate(f"precision exhausted: the expansion of the 40-digit value of "
+                              f"{args.alpha!r} ends or parts from an 80-digit one within nmax")
     try:
         prof = diophantine_profile(alpha.as_fraction(), args.nmax, args.d)
+        if alpha.exact is None:
+            # the 40-digit value has the irrational's convergents only as far
+            # as an 80-digit evaluation has the same ones
+            fine = diophantine_profile(parse_expr(args.alpha, dps=80).as_fraction(),
+                                       args.nmax, args.d)
+            if [t[:2] for t in fine.convergents] != [t[:2] for t in prof.convergents]:
+                raise exhausted
+            prof = fine
     except RationalAlpha:
-        if alpha.exact is None:  # the expansion of an irrational's truncation ended
-            raise Indeterminate(f"precision exhausted: the 40-digit value of {args.alpha!r} "
-                                "has a finite expansion within nmax") from None
+        if alpha.exact is None:  # the expansion of the truncation ended
+            raise exhausted from None
         raise
     print(f"c_hat {prof.c_hat} d_hat {prof.d_hat}")
     print("N,M,residual")

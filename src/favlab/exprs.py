@@ -1,7 +1,7 @@
 """Tiny arithmetic expression evaluator for CLI flags.
 
 Grammar: decimal literals, ``pi``, ``sqrt(<int>)``, ``+ - * /`` and parentheses.
-Evaluation runs twice: once in 40-digit mpmath and once in exact rational
+Evaluation runs twice: in mpmath (40 digits by default) and in exact rational
 arithmetic; the rational result survives only if no irrational leaf occurs,
 so ``3/7`` stays an exact Fraction while ``1+sqrt(2)`` does not.
 """
@@ -20,7 +20,7 @@ _TOKEN = re.compile(r"\s*(\d+\.\d*|\.\d+|\d+|pi|sqrt|[()+\-*/])")
 
 
 class ExprValue:
-    """Evaluated expression: float value, 40-digit mpf, exact Fraction or None."""
+    """Evaluated expression: float value, mpf, exact Fraction or None."""
 
     def __init__(self, mp, exact):
         self.mp = mp
@@ -28,8 +28,8 @@ class ExprValue:
         self.value = float(mp)
 
     def as_fraction(self):
-        """Exact value if rational, else the exact binary value of the
-        40-digit mpf, 136 bits."""
+        """Exact value if rational, else the exact binary value of the mpf,
+        136 bits at 40 digits."""
         if self.exact is not None:
             return self.exact
         man, exp = self.mp.man_exp
@@ -49,7 +49,7 @@ def _tokenize(text):
     return out
 
 
-def parse_expr(text):
+def parse_expr(text, dps=40):
     tokens = _tokenize(text)
     idx = [0]
 
@@ -116,7 +116,7 @@ def parse_expr(text):
                 ex = None if ex is None or ex2 is None else ex - ex2
         return mp, ex
 
-    with mpmath.workdps(40):
+    with mpmath.workdps(dps):
         try:
             mp, ex = expr()
         except RecursionError:

@@ -430,14 +430,8 @@ def neighborhood_projection_length(ifs, rho, theta):
         raise PreconditionViolated("rho in (0,1) required")
     if rho < ifs.r_min**BAND_DEPTH_CAP:
         raise RhoTooSmall(f"rho below r_min^{BAND_DEPTH_CAP}")
-    body = DiskBody(ifs.center, ifs.R0)
-    band = ifs.band(rho)
-    los, his = np.empty(len(band)), np.empty(len(band))
-    for k, g in enumerate(band):
-        lo, hi = body.interval(g, theta)
-        los[k] = lo - rho
-        his[k] = hi + rho
-    return merge_intervals(los, his).total_length
+    los, his = DiskBody(ifs.center, ifs.R0).interval(ifs.band(rho), theta)
+    return merge_intervals(los - rho, his + rho).total_length
 
 
 @dataclass

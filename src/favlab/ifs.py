@@ -8,9 +8,9 @@ All angles live in [0, 2*pi) and comparisons are circular.
 Word geometry costs one step per symbol.  ``IFS.compose`` runs over a
 per-symbol table (r, theta, orient, tx, ty, log r) built once per system, with
 exactly the arithmetic of the left fold of ``compose_geoms`` from the
-identity, so its results are bit-identical to that fold.  ``IFS.band`` carries
-each node's geometry down the mass-band descent (child = parent o F_i, the
-same fold), so band words are never recomposed from the root, and
+identity, so its results are bit-identical to that fold.  ``IFS.band`` forms a
+mass band a level at a time over arrays (child = parent o F_i, the same
+fold), so band words are never recomposed from the root, and
 ``IFS.pi_point`` computes an anchor's tail map once per (anchor, tol).
 Level-n covers are a ``CylinderBatch``, the one code path that applies the
 maps to arrays of points.
@@ -21,8 +21,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +32,7 @@ TWO_PI = 2.0 * math.pi
 Word = tuple  # tuple of 1-based symbols
 TAIL_CACHE = 4096  # anchor tails held per system
 BAND_CAP = 2_000_000  # words of one mass band
-BAND_DEPTH_CAP = 600  # levels of the recursive mass-band descent
+BAND_DEPTH_CAP = 600  # levels of the mass-band descent
 HULL_DEPTH = 6  # attractor sample depth of the hull
 HULL_SAMPLE_CAP = 200_000  # sample points past which the hull stops refining
 HULL_TOL = 1e-9  # containment slack of the hull invariance check
@@ -227,43 +226,33 @@ def similarity_dimension(ratios):
 
 @dataclass(frozen=True)
 class IFS:
-    """A similitude system together with its derived constants: similarity
+    """A similitude system and the constants derived from its maps: similarity
     dimension, enclosing invariant disk and the diameter bound D = 2*R0."""
 
     maps: tuple
-    gamma: float
-    r_min: float
-    center: tuple
-    R0: float
-    D: float
+    gamma: float = field(init=False)
+    r_min: float = field(init=False)
+    center: tuple = field(init=False)
+    R0: float = field(init=False)
+    D: float = field(init=False)
 
     def __post_init__(self):
-        # Not fields: the per-symbol rows of compose, keyed by symbol, and the
-        # bounded cache of anchor tails.
-        rows = {
-            i: (f.r, f.theta, f.orient, f.tx, f.ty, f.log_r)
-            for i, f in enumerate(self.maps, start=1)
-        }
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_tails", {})
+        if not self.maps:
+            raise ConfigError("no maps")
+        gamma = similarity_dimension([f.r for f in self.maps])
+        center, R0 = _enclosing_disk(self.maps)
+        if not all(map(math.isfinite, (*center, 2.0 * R0))):
+            raise ConfigError("the enclosing disk of the maps exceeds the float range")
+        # _rows, the per-symbol rows of compose keyed by symbol, and _tails,
+        # the bounded cache of anchor tails, are not fields
+        rows = {i: (f.r, f.theta, f.orient, f.tx, f.ty, f.log_r)
+                for i, f in enumerate(self.maps, start=1)}
+        self.__dict__.update(gamma=gamma, r_min=min(f.r for f in self.maps), center=center,
+                             R0=R0, D=2.0 * R0, _rows=rows, _tails={})
 
     @classmethod
     def from_maps(cls, maps):
-        maps = tuple(maps)
-        if not maps:
-            raise ConfigError("no maps")
-        gamma = similarity_dimension([f.r for f in maps])
-        center, R0 = _enclosing_disk(maps)
-        if not all(map(math.isfinite, (*center, 2.0 * R0))):
-            raise ConfigError("the enclosing disk of the maps exceeds the float range")
-        return cls(
-            maps=maps,
-            gamma=gamma,
-            r_min=min(f.r for f in maps),
-            center=center,
-            R0=R0,
-            D=2.0 * R0,
-        )
+        return cls(tuple(maps))
 
     @classmethod
     def from_dict(cls, data):
@@ -352,51 +341,48 @@ class IFS:
         return self.band(r).words
 
     def band(self, r, cap=BAND_CAP):
-        """The mass band of level r with the geometry of each word.
-
-        The depth-first descent carries each node's geometry, the child being
-        parent o F_i with compose's arithmetic, so ``band(r)[k]`` equals
-        ``compose(band(r).words[k])`` bit for bit; the sines and cosines of a
-        node's angle are taken once for all its children."""
+        """The mass band of level r with the geometry of each word, formed a
+        level at a time with compose's arithmetic, so that ``band(r)[k]`` is
+        ``compose(band(r).words[k])`` bit for bit; sorting the words (a prefix
+        first) gives depth-first order.  A band of more than ``cap`` words is
+        refused, before a level's geometry is formed where that level has more
+        than ``cap`` nodes, as each node heads band words of its own."""
         if not (0.0 < r < 1.0):
             raise ConfigError(f"band level {r} outside (0,1)")
         low = r * self.r_min
-        # the descent recurses once a level, deepest along the largest ratio
+        # the descent takes one step a level, deepest along the largest ratio
         depth, r_s, r_max = 0, 1.0, max(f.r for f in self.maps)
         while r_s * r_max > low:
             depth, r_s = depth + 1, r_s * r_max
             if depth > BAND_DEPTH_CAP:
                 raise LevelTooLarge(f"mass band {r} descends past level {BAND_DEPTH_CAP}")
-        out = Band()
-        rows = tuple(self._rows.items())
-        cos, sin, fmod = math.cos, math.sin, math.fmod
-
-        def descend(word, g):
-            if len(out) > cap:
+        table = (np.arange(1, self.m + 1, dtype=np.min_scalar_type(self.m)),
+                 *np.array(list(self._rows.values())).T)
+        # the empty word and the identity's (r, theta, orient, tx, ty, log_r)
+        level = (np.empty((1, 0), table[0].dtype), *np.array([[1.0], [0], [1], [0], [0], [0]]))
+        parts, size = [], 0
+        while True:
+            parent, i = np.nonzero(np.multiply.outer(level[1], table[1]) > low)
+            if len(parent) > cap or size > cap:
                 raise LevelTooLarge(f"mass band exceeds cap {cap}")
-            r_s, th, o, tx, ty, lr = g
-            if r_s <= r and word:
-                out.append(tuple(word), g)
-            c = None
-            for i, (hr, hth, ho, hx, hy, hlr) in rows:
-                child = r_s * hr
-                if child > low:
-                    if c is None:
-                        c, s = cos(th), sin(th)
-                    t = fmod(th + o * hth, TWO_PI)
-                    word.append(i)
-                    descend(word, (
-                        child,
-                        t + TWO_PI if t < 0.0 else t,
-                        o * ho,
-                        r_s * (c * hx - o * s * hy) + tx,
-                        r_s * (s * hx + o * c * hy) + ty,
-                        lr + hlr,
-                    ))
-                    word.pop()
-
-        descend([], (1.0, 0.0, 1, 0.0, 0.0, 0.0))
-        return out
+            if not len(parent):
+                break
+            level = _band_children(level, parent, i, table)
+            emit = level[1] <= r
+            size += np.count_nonzero(emit)
+            if emit.any():
+                parts.append(level if emit.all() else [col[emit] for col in level])
+        words = []
+        for mat in (part[0] for part in parts):
+            for k in range(0, len(mat), 4096):  # keeps the lists tolist forms small
+                words.extend(zip(*mat[k:k + 4096].T.tolist()))
+        cols = list(parts[0][1:])
+        if len(parts) > 1:  # more than one level emits
+            order = sorted(range(len(words)), key=words.__getitem__)
+            words = [words[k] for k in order]
+            cols = [np.concatenate(col)[order] for col in list(zip(*parts))[1:]]
+        cols[2] = cols[2].astype(np.int8)
+        return Band(words, *cols)
 
     def pi_point(self, u, anchor, tol=1e-12, g=IDENTITY):
         """Approximate the coded point of u . anchor under F_g, with a rigorous
@@ -432,34 +418,38 @@ class IFS:
         return tail
 
 
+def _band_children(level, parent, i, table):
+    """The children u + (i+1,) of a band level's words u = words[parent]."""
+    (words, r_s, th, o, tx, ty, lr), (symbols, hr, hth, ho, hx, hy, hlr) = level, table
+    c, s = np.cos(th)[parent], np.sin(th)[parent]
+    r_p, o_p = r_s[parent], o[parent]
+    t = np.fmod(th[parent] + o_p * hth[i], TWO_PI)
+    t[t < 0.0] += TWO_PI
+    return (np.column_stack((words[parent], symbols[i])), r_p * hr[i], t, o_p * ho[i],
+            r_p * (c * hx[i] - o_p * s * hy[i]) + tx[parent],
+            r_p * (s * hx[i] + o_p * c * hy[i]) + ty[parent], lr[parent] + hlr[i])
+
+
+@dataclass(eq=False)
 class Band:
-    """The words of a mass band and their geometries, one compact column per
-    geometry field; ``band[k]`` is the CylinderGeometry of ``band.words[k]``,
-    and iterating a band yields those geometries in word order."""
+    """The words of a mass band and their geometries, one numpy column per
+    geometry field (orient as int8); ``band[k]`` is the CylinderGeometry of
+    ``band.words[k]``, in Python scalars."""
 
-    def __init__(self):
-        self.words = []
-        self.r, self.theta, self.tx, self.ty, self.log_r = (array("d") for _ in range(5))
-        self.orient = array("b")
-
-    def append(self, word, g):
-        """Add a word and its geometry (r, theta, orient, tx, ty, log_r)."""
-        r, th, o, tx, ty, lr = g
-        self.words.append(word)
-        self.r.append(r)
-        self.theta.append(th)
-        self.orient.append(o)
-        self.tx.append(tx)
-        self.ty.append(ty)
-        self.log_r.append(lr)
+    words: list
+    r: np.ndarray
+    theta: np.ndarray
+    orient: np.ndarray
+    tx: np.ndarray
+    ty: np.ndarray
+    log_r: np.ndarray
 
     def __len__(self):
         return len(self.words)
 
     def __getitem__(self, k):
-        return CylinderGeometry(
-            self.r[k], self.theta[k], self.orient[k], self.tx[k], self.ty[k], self.log_r[k]
-        )
+        cols = (self.r, self.theta, self.orient, self.tx, self.ty, self.log_r)
+        return CylinderGeometry(*(col[k].item() for col in cols))
 
 
 def _enclosing_disk(maps):
@@ -533,10 +523,15 @@ class DiskBody:
         self.center = center
         self.radius = radius
 
-    def interval(self, geom, theta):
-        cx, cy = geom.apply(self.center)
+    def interval(self, g, theta):
+        """Projection at theta of the disk under g, a CylinderGeometry or a
+        Band's columns; the centre is mapped as CylinderGeometry.apply does."""
+        x, y = self.center
+        c, s = np.cos(g.theta), np.sin(g.theta)
+        cx = g.r * (c * x - g.orient * s * y) + g.tx
+        cy = g.r * (s * x + g.orient * c * y) + g.ty
         p = cx * math.cos(theta) + cy * math.sin(theta)
-        h = geom.r * self.radius
+        h = g.r * self.radius
         return p - h, p + h
 
 

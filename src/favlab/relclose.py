@@ -227,7 +227,8 @@ def find_pair(ifs, eps, phi=None, budget=None):
         band = ifs.band(r, cap=PAIR_BAND_CAP)
         buckets = {}
         collision = None
-        for k, (th, o, lr) in enumerate(zip(band.theta, band.orient, band.log_r)):
+        rows = zip(band.theta.tolist(), band.orient.tolist(), band.log_r.tolist())
+        for k, (th, o, lr) in enumerate(rows):
             key = (int(th / width) % n_cells, o, math.floor(lr / width))
             if key in buckets:
                 collision = (buckets[key], k)

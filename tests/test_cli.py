@@ -171,6 +171,20 @@ def test_dioph_output():
     assert "ERROR rational-alpha" in r.stderr
 
 
+def test_dioph_lists_only_the_irrationals_convergents():
+    # sqrt(2)'s convergent denominators are the Pell numbers; its 40-digit
+    # value's continued fraction parts from them after 165326326037771920630
+    pell = [1, 2]
+    while 2 * pell[-1] + pell[-2] <= 10**19:
+        pell.append(2 * pell[-1] + pell[-2])
+    r = run_cli("dioph", "--alpha", "sqrt(2)", "--nmax", str(10**19), "--d", "2")
+    assert r.returncode == 0, r.stderr
+    assert [int(row.split(",")[0]) for row in r.stdout.splitlines()[2:]] == pell
+    r = run_cli("dioph", "--alpha", "sqrt(2)", "--nmax", str(10**40), "--d", "2")
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr.splitlines()[-1].startswith("ERROR indeterminate: precision exhausted")
+
+
 def test_dioph_overflowing_term_keeps_c_hat_finite():
     # q^d overflows for every q >= 2; the q = 1 convergent keeps c_hat finite
     r = run_cli("dioph", "--alpha", "sqrt(2)", "--nmax", "100", "--d", "1e308")

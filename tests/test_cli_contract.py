@@ -247,7 +247,7 @@ def _run(argv):
          "ERROR config: expression nests too deeply"),
         (["net", "--theta-over-pi=" + "-" * 1500 + "1", "--eps", "0.1"], 2,
          "ERROR config: expression nests too deeply"),
-        # the expansion of sqrt(2)'s 136-bit value ends near 2^135; it is not rational
+        # sqrt(2)'s 40-digit expansion parts from the 80-digit one past 1.6e20
         (["dioph", "--alpha", "sqrt(2)", "--nmax", str(10**45), "--d", "2"], 1,
          "ERROR indeterminate: precision exhausted"),
         (["dioph", "--alpha", "1/3", "--nmax", "100", "--d", "2"], 1, "ERROR rational-alpha:"),

@@ -248,6 +248,19 @@ def test_from_dict_rejects_bad_configs():
             IFS.from_dict(bad)
 
 
+def test_ifs_derives_its_constants_from_the_maps():
+    maps = fig1().maps
+    ifs = IFS(maps)
+    assert ifs == IFS.from_maps(list(maps))
+    assert (ifs.r_min, ifs.D) == (min(f.r for f in maps), 2.0 * ifs.R0)
+    with pytest.raises(TypeError):
+        IFS(maps, gamma=1.0)
+    with pytest.raises(ConfigError, match="no maps"):
+        IFS(())
+    with pytest.raises(ConfigError, match="float range"):
+        IFS((Similitude(0.5, 0.0, 1, 1e308, 1e308), Similitude(0.5, 1.0, 1, 0.0, 0.0)))
+
+
 # ---------------------------------------------------------------- hull support
 
 

@@ -1,14 +1,17 @@
 """Word geometry is composed once per word: the table-driven ``IFS.compose``,
-the band geometry carried down the mass-band descent and the cached anchor
-tails of ``pi_point`` must give the bits of the word-by-word path they
-replace.  That path is copied here: a left fold of ``compose_geoms`` over
-per-symbol geometries, mass bands recomposed word by word from the root and
-an uncached ``pi_point``."""
+the level-at-a-time mass-band descent, the neighbourhood length read from the
+band's columns and the cached anchor tails of ``pi_point`` must give the bits
+of the word-by-word path they replace.  That path is copied here: a left fold
+of ``compose_geoms`` over per-symbol geometries, mass bands recomposed word by
+word from the root, one ``CylinderGeometry.apply`` per band word and an
+uncached ``pi_point``."""
 
 import itertools
 import math
 import random
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +22,7 @@ from favlab.ifs import (
     IDENTITY,
     IFS,
     TAIL_CACHE,
+    TWO_PI,
     Band,
     CylinderGeometry,
     Similitude,
@@ -26,7 +30,7 @@ from favlab.ifs import (
     compose_geoms,
     geom_power,
 )
-from favlab.favard import neighborhood_projection_length
+from favlab.favard import merge_intervals, neighborhood_projection_length
 
 
 def fig1():
@@ -80,11 +84,10 @@ def old_mass_band(ifs, r, cap=2_000_000):
 def old_band(ifs, r, cap=2_000_000):
     if not (0.0 < r < 1.0):
         raise ConfigError(f"band level {r} outside (0,1)")
-    band = Band()
-    for w in old_mass_band(ifs, r, cap):
-        g = old_compose(ifs, w)
-        band.append(w, (g.r, g.theta, g.orient, g.tx, g.ty, g.log_r))
-    return band
+    words = old_mass_band(ifs, r, cap)
+    gs = [old_compose(ifs, w) for w in words]
+    fields = ("r", "theta", "orient", "tx", "ty", "log_r")
+    return Band(words, *(np.array([getattr(g, f) for g in gs]) for f in fields))
 
 
 def old_pi_point(ifs, u, anchor, tol=1e-12, g=IDENTITY):
@@ -122,6 +125,29 @@ def mixed_system(seed, reflect=True):
         )
         for i in range(3)
     ])
+
+
+def spread_system():
+    """Ratios from 0.05 to 0.7, one homothety and one reflection: words of
+    one band spread over many lengths."""
+    return IFS.from_maps([
+        Similitude(r=0.05, theta=0.0, orient=1, tx=0.9, ty=-0.2),
+        Similitude(r=0.35, theta=2.1, orient=-1, tx=-0.4, ty=0.6),
+        Similitude(r=0.7, theta=0.5, orient=1, tx=0.1, ty=0.3),
+    ])
+
+
+def old_neighborhood_length(ifs, rho, theta, band):
+    """neighborhood_projection_length with one CylinderGeometry.apply per
+    geometry of ``band``, the list of the rho-band's geometries."""
+    los, his = [], []
+    for g in band:
+        cx, cy = g.apply(ifs.center)
+        p = cx * math.cos(theta) + cy * math.sin(theta)
+        h = g.r * ifs.R0
+        los.append(p - h - rho)
+        his.append(p + h + rho)
+    return merge_intervals(np.array(los), np.array(his)).total_length
 
 
 # ------------------------------------------------------------------ compose
@@ -203,6 +229,7 @@ def test_geom_is_the_symbol_row():
         (mixed_system(1), (0.3, 1e-2, 1e-3)),
         (mixed_system(2), (0.1, 2e-3)),
         (mixed_system(5, reflect=False), (0.05, 1e-3)),
+        (spread_system(), (0.3, 1e-2, 5e-3)),
     ],
 )
 def test_band_geometry_is_compose(ifs, levels):
@@ -217,11 +244,53 @@ def test_band_geometry_is_compose(ifs, levels):
 
 def test_band_cap_and_level_errors():
     ifs = fig1()
-    with pytest.raises(LevelTooLarge):
-        ifs.band(1e-3, cap=100)
+    # fig1's band at 1e-3 holds 3^7 = 2187 words
+    for cap in (100, 2186):
+        with pytest.raises(LevelTooLarge):
+            ifs.band(1e-3, cap=cap)
+    assert len(ifs.band(1e-3, cap=2187)) == 2187
     for r in (0.0, 1.0, -0.5):
         with pytest.raises(ConfigError):
             ifs.band(r)
+
+
+BAND_SYSTEMS = [fig1(), mixed_system(1), mixed_system(2), mixed_system(5, reflect=False),
+                spread_system()]
+
+
+def test_band_past_the_cap_is_refused_before_its_last_level():
+    # 3^15 words, past BAND_CAP; level 14 holds 3^14 nodes, so the refusal
+    # comes before any level-14 geometry is formed
+    t0 = time.perf_counter()
+    with pytest.raises(LevelTooLarge):
+        fig1().band(1e-7)
+    assert time.perf_counter() - t0 < 3.0
+
+
+@pytest.mark.parametrize("ifs", BAND_SYSTEMS)
+def test_neighborhood_length_is_the_word_by_word_loop(ifs):
+    for rho in (0.2, 1e-2, 5e-3):
+        band = [old_compose(ifs, w) for w in old_mass_band(ifs, rho)]
+        for theta in (0.0, 0.9, math.pi / 2, 2.8):
+            got = neighborhood_projection_length(ifs, rho, theta)
+            assert got.hex() == old_neighborhood_length(ifs, rho, theta, band).hex()
+
+
+@pytest.mark.parametrize("ifs", BAND_SYSTEMS)
+def test_numpy_cos_sin_fmod_are_the_math_module_on_band_angles(ifs):
+    """The band descent and DiskBody.interval take numpy's float64 cos, sin
+    and fmod where compose takes math's; bit identity rests on their
+    agreement, which a numpy upgrade could break."""
+    theta = ifs.band(1e-3).theta
+    angles = theta.tolist()
+    assert [x.hex() for x in np.cos(theta).tolist()] == [math.cos(t).hex() for t in angles]
+    assert [x.hex() for x in np.sin(theta).tolist()] == [math.sin(t).hex() for t in angles]
+    for f in ifs.maps:
+        for o in (1, -1):
+            got = np.fmod(theta + o * f.theta, TWO_PI).tolist()
+            assert [x.hex() for x in got] == [
+                math.fmod(t + o * f.theta, TWO_PI).hex() for t in angles
+            ]
 
 
 # --------------------------------------------------------------- anchor tails
