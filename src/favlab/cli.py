@@ -26,7 +26,8 @@ from .favard import (
     schedule as make_schedule,
 )
 from .projection import density_profile, density_witness, visibility_estimate
-from .relclose import RelCloseCertificate, SearchBudget, find_pair, double_family, power_family
+from .relclose import (RelCloseCertificate, SearchBudget, _verify_all, double_family,
+                       find_pair, power_family)
 from .rotation import diophantine_profile, epsilon_net
 from .counting import avoidance_count, h2_length_bound, removal_recursion
 from .svg import render_svg
@@ -68,12 +69,13 @@ def read_text(path):
         raise ConfigError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}")
 
 
-def _load_cert(path):
+def _load_cert(path, ifs):
+    """The certificate at path, with every pair verified on ifs."""
     try:
         data = json.loads(read_text(path))
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: {e}")
-    return RelCloseCertificate.from_dict(data)
+    return _verify_all(ifs, RelCloseCertificate.from_dict(data))
 
 
 def cmd_dim(args):
@@ -138,7 +140,7 @@ def cmd_relclose_find(args):
 
 def cmd_relclose_double(args):
     ifs = IFS.from_json(args.ifs)
-    cert = _load_cert(args.cert)
+    cert = _load_cert(args.cert, ifs)
     out = double_family(ifs, cert, args.eps, SearchBudget(max_depth=args.depth))
     return _write_cert(args, out)
 
@@ -152,7 +154,7 @@ def cmd_relclose_power(args):
 def cmd_density(args):
     ifs = IFS.from_json(args.ifs)
     theta = parse_expr(args.theta).value
-    cert = _load_cert(args.cert)
+    cert = _load_cert(args.cert, ifs)
     wit = density_witness(ifs, cert, theta)
     rows = [_csv_header(args), "r,ratio\n"]
     if wit.b > 0.0:

@@ -10,8 +10,9 @@ per-symbol table (r, theta, orient, tx, ty, log r) built once per system, with
 exactly the arithmetic of the left fold of ``compose_geoms`` from the
 identity, so its results are bit-identical to that fold.  ``IFS.band`` forms a
 mass band a level at a time over arrays (child = parent o F_i, the same
-fold), so band words are never recomposed from the root, and
-``IFS.pi_point`` computes an anchor's tail map once per (anchor, tol).
+fold), so band words are never recomposed from the root.  ``IFS.pi_point``
+takes a word's composed geometry from its caller, which composes each word
+once per check, and computes an anchor's tail map once per (anchor, tol).
 Level-n covers are a ``CylinderBatch``, the one code path that applies the
 maps to arrays of points.
 """
@@ -304,12 +305,6 @@ class IFS:
     def m(self):
         return len(self.maps)
 
-    def geom(self, symbol):
-        try:
-            return CylinderGeometry(*self._rows[symbol])
-        except KeyError:
-            raise SymbolOutOfRange(f"symbol {symbol} outside 1..{len(self.maps)}")
-
     def compose(self, u, g=IDENTITY):
         """Geometry of F_g o F_u; the empty word gives g.  One table row per
         symbol, with the arithmetic of compose_geoms, so the result is
@@ -384,17 +379,16 @@ class IFS:
         cols[2] = cols[2].astype(np.int8)
         return Band(words, *cols)
 
-    def pi_point(self, u, anchor, tol=1e-12, g=IDENTITY):
-        """Approximate the coded point of u . anchor under F_g, with a rigorous
-        error radius; g = compose(s) gives the point of s . u . anchor, as
-        compose(u, g) is compose(s + u).
+    def pi_point(self, g_u, anchor, tol=1e-12):
+        """Approximate the coded point of u . anchor, given g_u = compose(u),
+        with a rigorous error radius; g_u = compose(u, compose(s)) gives the
+        point of s . u . anchor.
 
         The anchor's period is iterated until the residual contraction factor
         drops below tol; the returned point is within error_radius of the true
         coded point (both lie in the same image of the enclosing disk).
         """
         q, tail_log_r = self._anchor_tail(anchor, tol)
-        g_u = self.compose(u, g)
         p = g_u.apply(q)
         err = self.D * math.exp(min(g_u.log_r + tail_log_r, 0.0))
         return p, err

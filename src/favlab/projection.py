@@ -114,20 +114,19 @@ def density_witness(ifs, cert, theta):
     )
 
     # per-word scaled projections q_i . e_psi where q_i = F_{u_i}(coded tail)
-    def scaled_proj(w):
-        key = tuple(sorted((u1, w)))
-        om = cert.omegas.get(key, fallback_tail)
-        p, err = ifs.pi_point(w, om)
-        return project(p, psi), err
+    def scaled_proj(w, g_w):
+        om = cert.omegas.get(tuple(sorted((u1, w))), fallback_tail)
+        return project(ifs.pi_point(g_w, om)[0], psi)
 
-    base, _ = scaled_proj(u1)
+    base = scaled_proj(u1, g1)
     b_scaled = 5.0 * ifs.D * r_u1
     chain_scaled = 3.0 * ifs.D * r_u1
     max_off = 0.0
     chain_ok = True
     mass = 0.0
-    for w in cert.words:
-        q, _ = scaled_proj(w)
+    for k, w in enumerate(cert.words):
+        g_w = ifs.compose(w) if k else g1  # u1 is the first word
+        q = scaled_proj(w, g_w)
         off = abs(q - base)
         max_off = max(max_off, off)
         if off > chain_scaled * (1.0 + 1e-9):
@@ -136,11 +135,11 @@ def density_witness(ifs, cert, theta):
             raise PreconditionViolated(
                 f"point for word {w} escapes the witness ball"
             )
-        mass += math.exp(ifs.gamma * ifs.compose(w).log_r)
+        mass += math.exp(ifs.gamma * g_w.log_r)
     # ratio = sum_i mu([s u_i]) / (2b)^gamma with r_s^gamma cancelling
     ratio = mass / (10.0 * ifs.D * r_u1) ** ifs.gamma
     log10_b = (gs.log_r + math.log(b_scaled)) / math.log(10.0)
-    x_point, _ = ifs.pi_point(u1, fallback_tail, g=gs)
+    x_point, _ = ifs.pi_point(ifs.compose(u1, gs), fallback_tail)
     return DensityWitness(
         x=project(x_point, theta),
         b=math.exp(gs.log_r) * b_scaled,

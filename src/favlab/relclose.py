@@ -95,6 +95,10 @@ class RelCloseCertificate:
         but recomputed by whoever verifies it.  A document that does not
         follow the schema raises ConfigError."""
         words = tuple(parse_word(w) for w in _cert_list(data, "words", str))
+        if not words:
+            raise ConfigError("certificate: 'words' is empty")
+        if len(set(words)) < len(words):
+            raise ConfigError("certificate: 'words' repeats a word")
         eps = finite_number(_cert_field(data, "eps", (int, float)), "certificate: 'eps'")
         theta = finite_number(_cert_field(data, "theta", (int, float)), "certificate: 'theta'")
         omegas = {}
@@ -167,8 +171,8 @@ def check_relclose(ifs, u, v, eps, theta, omega):
         slack_iii = 0.0
     else:
         for tol in (1e-12, 1e-15):
-            pu, eu = ifs.pi_point(u, omega, tol=tol)
-            pv, ev = ifs.pi_point(v, omega, tol=tol)
+            pu, eu = ifs.pi_point(gu, omega, tol=tol)
+            pv, ev = ifs.pi_point(gv, omega, tol=tol)
             if eu + ev <= 0.01 * thresh:
                 offset = abs(project(pu, theta) - project(pv, theta))
                 slack_iii = thresh - offset
@@ -193,11 +197,12 @@ def _verify_all(ifs, cert):
     return cert
 
 
-def _perp_direction(ifs, u, v, omega):
+def _perp_direction(ifs, gu, gv, omega):
     """Angle perpendicular to the segment between the coded points of u.omega
-    and v.omega; 0 when the segment degenerates."""
-    pu, _ = ifs.pi_point(u, omega)
-    pv, _ = ifs.pi_point(v, omega)
+    and v.omega, given gu = compose(u) and gv = compose(v); 0 when the segment
+    degenerates."""
+    pu, _ = ifs.pi_point(gu, omega)
+    pv, _ = ifs.pi_point(gv, omega)
     dx, dy = pv[0] - pu[0], pv[1] - pu[1]
     if math.hypot(dx, dy) <= 1e-12 * max(ifs.D, 1.0):
         return 0.0
@@ -242,7 +247,7 @@ def find_pair(ifs, eps, phi=None, budget=None):
             i0 = reflector(ifs)
             u, v = u + (i0,), v + (i0,)
             gu, gv = ifs.compose((i0,), gu), ifs.compose((i0,), gv)
-        theta = _perp_direction(ifs, u, v, omega)
+        theta = _perp_direction(ifs, gu, gv, omega)
         if phi is not None:
             j = steering_copies(ifs, (gu.theta, gv.theta), phi(theta), eps, a, eps / 2.0)
             if j is None:
@@ -369,7 +374,7 @@ def power_family(ifs, u, v, n, eps=1e-6):
     if n < 1:
         raise PreconditionViolated("n >= 1 required")
     omega = TailWord((), u)
-    theta = _perp_direction(ifs, u, v, omega)
+    theta = _perp_direction(ifs, gu, gv, omega)
     words = tuple(
         sum(blocks, ()) for blocks in itertools.product((u, v), repeat=n)
     )

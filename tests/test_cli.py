@@ -431,6 +431,19 @@ def test_certificate_without_omegas_exit2(tmp_path, command):
     _assert_config_error(run_cli(*argv), "missing 'omegas'")
 
 
+@pytest.mark.parametrize("command", ["density", "double"])
+@pytest.mark.parametrize("words, detail", [([], "'words' is empty"),
+                                           (["2", "2"], "'words' repeats a word")])
+def test_empty_or_repeated_word_list_exit2(tmp_path, command, words, detail):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"words": words, "eps": 0.1, "theta": 0.3, "omegas": []}))
+    if command == "density":
+        argv = ["density", "--ifs", FIG1, "--theta", "1", "--n", "4", "--cert", str(cert)]
+    else:
+        argv = ["relclose", "double", "--ifs", FIG1, "--cert", str(cert), "--eps", "2"]
+    _assert_config_error(run_cli(*argv), detail)
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--ax", "nan"), ("--ax", "inf"), ("--ay", "-inf"), ("--s", "nan")],

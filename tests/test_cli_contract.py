@@ -98,6 +98,10 @@ def files(tmp_path_factory):
         {"r": 0.5, "theta": 0.0, "tx": 1e307, "ty": 1e307},
         {"r": 0.5, "theta_over_pi": 0.7, "tx": 0.0, "ty": 0.0},
     ]}))
+    # the pair (2, 3) of fig1 fails check_relclose with slack_iii = -0.667
+    (root / "forged.json").write_text(json.dumps({
+        "words": ["2", "3"], "eps": 1e-9, "theta": 0.0,
+        "omegas": [{"pair": ["2", "3"], "prefix": "", "period": "1"}]}))
     # a mass band of these ratios descends ~4,600 levels along the first map
     (root / "skew.json").write_text(json.dumps({"maps": [
         {"r": 0.999, "theta": 0.0, "tx": 0.0, "ty": 0.0},
@@ -251,11 +255,16 @@ def _run(argv):
         (["dioph", "--alpha", "sqrt(2)", "--nmax", str(10**45), "--d", "2"], 1,
          "ERROR indeterminate: precision exhausted"),
         (["dioph", "--alpha", "1/3", "--nmax", "100", "--d", "2"], 1, "ERROR rational-alpha:"),
+        # a loaded certificate is verified before it is used
+        (["density", "--ifs", FIG1, "--theta", "0", "--n", "6", "--cert", "{forged}"], 1,
+         "ERROR verification: pair (2, 3) fails at eps=1e-09"),
+        (["relclose", "double", "--ifs", FIG1, "--cert", "{forged}", "--eps", "1"], 1,
+         "ERROR verification: pair (2, 3) fails at eps=1e-09"),
     ],
 )
 def test_boundary_inputs(files, argv, code, last):
     paths = {"series": files / "series.csv", "near_limit": files / "near_limit.json",
-             "skew": files / "skew.json"}
+             "skew": files / "skew.json", "forged": files / "forged.json"}
     got, stdout, line = _run([a.format(**paths) for a in argv])
     assert (got, stdout) == (code, "")
     assert last in line

@@ -242,7 +242,7 @@ def test_similitude_is_a_one_symbol_geometry():
     assert f.log_r == math.log(0.4)
     assert f.apply(f.fixed_point()) == pytest.approx(f.fixed_point(), abs=1e-15)
     ifs = IFS.from_maps([f, Similitude(0.5, 0.0, 1, 0.5, 0.0)])
-    assert ifs.geom(1) == CylinderGeometry(f.r, f.theta, f.orient, f.tx, f.ty, f.log_r)
+    assert ifs.compose((1,)) == CylinderGeometry(f.r, f.theta, f.orient, f.tx, f.ty, f.log_r)
     for bad in (dict(r=1.0, orient=1), dict(r=0.5, orient=0)):
         with pytest.raises(ConfigError):
             Similitude(theta=0.0, tx=0.0, ty=0.0, **bad)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from favlab.errors import ConfigError, SymbolOutOfRange
+from favlab.errors import ConfigError
 from favlab.ifs import (
     IFS,
     IDENTITY,
@@ -74,14 +74,6 @@ def test_parse_word_roundtrip():
     assert parse_word("") == ()
 
 
-def test_geom_symbol_range():
-    ifs = fig1()
-    with pytest.raises(SymbolOutOfRange):
-        ifs.geom(0)
-    with pytest.raises(SymbolOutOfRange):
-        ifs.geom(4)
-
-
 # ---------------------------------------------------------------- geometry
 
 
@@ -114,9 +106,7 @@ sim_geoms = st.builds(
 @settings(max_examples=200)
 @given(st.lists(sim_geoms, min_size=1, max_size=5))
 def test_compose_matches_matrix_product(sims):
-    ifs_like = [
-        compose_geoms(IDENTITY, IFS.from_maps([s, s]).geom(1)) for s in sims
-    ]
+    ifs_like = [compose_geoms(IDENTITY, s) for s in sims]
     g = IDENTITY
     for h in ifs_like:
         g = compose_geoms(g, h)
@@ -211,10 +201,10 @@ def test_mass_band_matches_enumeration():
 def test_pi_point_fixed_tails():
     ifs = fig1()
     # [TRIVIAL] the tail 2~ codes the fixed point of map 2
-    (x, y), err = ifs.pi_point((), TailWord((), (2,)))
+    (x, y), err = ifs.pi_point(ifs.compose(()), TailWord((), (2,)))
     assert abs(x - 1.0) < 1e-9 and abs(y) < 1e-9 and err < 1e-9
     # prefixing applies the word's map
-    (x, y), err = ifs.pi_point((3,), TailWord((), (2,)))
+    (x, y), err = ifs.pi_point(ifs.compose((3,)), TailWord((), (2,)))
     fx, fy = ifs.maps[2].apply((1.0, 0.0))
     assert abs(x - fx) < 1e-9 and abs(y - fy) < 1e-9
 

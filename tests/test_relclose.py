@@ -31,8 +31,8 @@ def _check_oracle(ifs, u, v, eps, theta, omega):
     ok_i = math.exp(-eps) < ratio < math.exp(eps)
     d = abs(norm_angle(gu.theta - gv.theta))
     ok_ii = min(d, 2 * math.pi - d) < eps and gu.orient == gv.orient
-    (xu, yu), eu = ifs.pi_point(u, omega, tol=1e-14)
-    (xv, yv), ev = ifs.pi_point(v, omega, tol=1e-14)
+    (xu, yu), eu = ifs.pi_point(gu, omega, tol=1e-14)
+    (xv, yv), ev = ifs.pi_point(gv, omega, tol=1e-14)
     proj = abs(
         (xu - xv) * math.cos(theta) + (yu - yv) * math.sin(theta)
     )
@@ -52,8 +52,8 @@ def test_check_relclose_zero_angle_pair(ifs):
 
 
 def _perp(ifs, omega):
-    (xu, yu), _ = ifs.pi_point((2,), omega)
-    (xv, yv), _ = ifs.pi_point((3,), omega)
+    (xu, yu), _ = ifs.pi_point(ifs.compose((2,)), omega)
+    (xv, yv), _ = ifs.pi_point(ifs.compose((3,)), omega)
     return norm_angle(math.atan2(yv - yu, xv - xu) + math.pi / 2)
 
 
@@ -153,6 +153,8 @@ def test_certificate_round_trip(ifs):
         (lambda d: d.pop("theta"), "missing 'theta'"),
         (lambda d: d.update(words="2222"), "'words' has the wrong type"),
         (lambda d: d.update(words=[2, 3]), "words[0] has the wrong type"),
+        (lambda d: d.update(words=[]), "'words' is empty"),
+        (lambda d: d["words"].append(d["words"][0]), "'words' repeats a word"),
         (lambda d: d.update(eps="1e-6"), "'eps' has the wrong type"),
         (lambda d: d.update(eps=True), "'eps' has the wrong type"),
         (lambda d: d.update(theta=None), "'theta' has the wrong type"),

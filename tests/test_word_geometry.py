@@ -108,8 +108,8 @@ def word_by_word(monkeypatch):
     """Route IFS.compose, IFS.band and IFS.pi_point through the copies above."""
     monkeypatch.setattr(IFS, "compose", lambda self, u, g=IDENTITY: old_compose(self, u, g))
     monkeypatch.setattr(IFS, "band", lambda self, r, cap=2_000_000: old_band(self, r, cap))
-    monkeypatch.setattr(IFS, "pi_point", lambda self, u, anchor, tol=1e-12, g=IDENTITY:
-                        old_pi_point(self, u, anchor, tol, g))
+    monkeypatch.setattr(IFS, "pi_point", lambda self, g_u, anchor, tol=1e-12:
+                        old_pi_point(self, (), anchor, tol, g_u))
 
 
 def mixed_system(seed, reflect=True):
@@ -213,12 +213,6 @@ def test_compose_symbol_out_of_range(word):
         ifs.compose(word, ifs.compose((1, 2)))
 
 
-def test_geom_is_the_symbol_row():
-    ifs = mixed_system(3)
-    for i in range(1, 4):
-        assert bits(ifs.geom(i)) == bits(old_geom(ifs, i))
-
-
 # ------------------------------------------------------------- band geometry
 
 
@@ -307,13 +301,13 @@ ANCHORS = [
 
 @pytest.mark.parametrize("ifs", [fig1(), mixed_system(1)])
 def test_cached_pi_point_is_uncached(ifs):
-    # pi_point(u, anchor, g=compose(s)) is the point of s + u
+    # pi_point(compose(u, compose(s)), anchor) is the point of s + u
     words = [(), (1,), (2, 3), (3, 1, 2, 1), (1,) * 40]
     for _ in range(2):  # the second round reads the cache
         for anchor in ANCHORS:
             for tol in (1e-6, 1e-12, 1e-15):
                 for s, u in itertools.product([(), (2, 1), (1,) * 30], words):
-                    (x, y), err = ifs.pi_point(u, anchor, tol=tol, g=ifs.compose(s))
+                    (x, y), err = ifs.pi_point(ifs.compose(u, ifs.compose(s)), anchor, tol=tol)
                     (ox, oy), oerr = old_pi_point(ifs, s + u, anchor, tol=tol)
                     assert (x.hex(), y.hex(), err.hex()) == (ox.hex(), oy.hex(), oerr.hex())
 
@@ -323,7 +317,7 @@ def test_tail_cache_is_bounded():
     anchor = TailWord((1,), (2, 3))
     for i in range(TAIL_CACHE + 50):
         tol = 1e-12 * (1.0 + i * 1e-6)
-        assert ifs.pi_point((1,), anchor, tol) == old_pi_point(ifs, (1,), anchor, tol)
+        assert ifs.pi_point(ifs.compose((1,)), anchor, tol) == old_pi_point(ifs, (1,), anchor, tol)
     assert len(ifs._tails) == TAIL_CACHE
 
 
@@ -331,8 +325,58 @@ def test_bad_anchor_is_not_cached():
     ifs = fig1()
     for _ in range(2):
         with pytest.raises(SymbolOutOfRange):
-            ifs.pi_point((1,), TailWord((), (4,)))
+            ifs.pi_point(ifs.compose((1,)), TailWord((), (4,)))
     assert not ifs._tails
+
+
+# ------------------------------------------- one composition per word and check
+
+
+@pytest.fixture
+def composed(monkeypatch):
+    """The (word, g) of every IFS.compose call; g is IDENTITY itself for a
+    composition from the identity."""
+    calls, compose = [], IFS.compose
+
+    def counted(self, u, g=IDENTITY):
+        calls.append((tuple(u), g))
+        return compose(self, u, g)
+
+    monkeypatch.setattr(IFS, "compose", counted)
+    return calls
+
+
+def test_check_relclose_composes_each_word_once(composed):
+    ifs = fig1()
+    cert = relclose.power_family(ifs, (2,), (3,), 2)
+    u, v = cert.words[0], cert.words[-1]
+    rep = relclose.check_relclose(ifs, u, v, cert.eps, cert.theta, cert.omega(u, v))
+    composed.clear()  # the tail cache is warm
+    assert relclose.check_relclose(ifs, u, v, cert.eps, cert.theta, cert.omega(u, v)) == rep
+    assert [(w, g is IDENTITY) for w, g in composed] == [(u, True), (v, True)]
+
+
+def test_perp_direction_composes_no_word(composed):
+    ifs = fig1()
+    omega = TailWord((), (2,))
+    gu, gv = ifs.compose((2, 3)), ifs.compose((3, 2))
+    theta = relclose._perp_direction(ifs, gu, gv, omega)  # warms the tail cache
+    composed.clear()
+    assert relclose._perp_direction(ifs, gu, gv, omega) == theta
+    assert composed == []
+
+
+def test_density_witness_composes_each_family_word_once(composed):
+    ifs = fig1()
+    cert = relclose.power_family(ifs, (2,), (3,), 4)
+    theta = cert.theta + 1.0  # steers
+    wit = projection.density_witness(ifs, cert, theta)
+    composed.clear()  # the tail cache is warm
+    assert projection.density_witness(ifs, cert, theta) == wit
+    # u1, the first word, is composed once more, under the steering geometry
+    for w in cert.words:
+        assert [g is IDENTITY for u, g in composed if u == w] == (
+            [True, False] if w == cert.words[0] else [True])
 
 
 # ------------------------------------- whole operations against the old path
