@@ -8,13 +8,14 @@ All angles live in [0, 2*pi) and comparisons are circular.
 Word geometry costs one step per symbol.  ``IFS.compose`` runs over a
 per-symbol table (r, theta, orient, tx, ty, log r) built once per system, with
 exactly the arithmetic of the left fold of ``compose_geoms`` from the
-identity, so its results are bit-identical to that fold.  ``IFS.band`` forms a
-mass band a level at a time over arrays (child = parent o F_i, the same
-fold), so band words are never recomposed from the root.  ``IFS.pi_point``
-takes a word's composed geometry from its caller, which composes each word
-once per check, and computes an anchor's tail map once per (anchor, tol).
-Level-n covers are a ``CylinderBatch``, the one code path that applies the
-maps to arrays of points.
+identity, so its results are bit-identical to that fold.  A batch of words
+is a ``CylinderBatch`` of geometry columns, and mass bands (``IFS.band``) and
+level covers (``IFS.cover``) grow by the one child step u -> u.i with the
+same arithmetic, so no word is recomposed from the root.
+``CylinderBatch.images`` is the one code path that applies the maps to
+arrays of points.  ``IFS.pi_point`` takes a word's composed geometry from its
+caller, which composes each word once per check, and computes an anchor's
+tail map once per (anchor, tol).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -244,12 +245,14 @@ class IFS:
         center, R0 = _enclosing_disk(self.maps)
         if not all(map(math.isfinite, (*center, 2.0 * R0))):
             raise ConfigError("the enclosing disk of the maps exceeds the float range")
-        # _rows, the per-symbol rows of compose keyed by symbol, and _tails,
-        # the bounded cache of anchor tails, are not fields
+        # _rows, the per-symbol rows of compose keyed by symbol, _maps, the
+        # same rows as a batch, and _tails, the bounded cache of anchor
+        # tails, are not fields
         rows = {i: (f.r, f.theta, f.orient, f.tx, f.ty, f.log_r)
                 for i, f in enumerate(self.maps, start=1)}
         self.__dict__.update(gamma=gamma, r_min=min(f.r for f in self.maps), center=center,
-                             R0=R0, D=2.0 * R0, _rows=rows, _tails={})
+                             R0=R0, D=2.0 * R0, _rows=rows, _maps=CylinderBatch.of(self.maps),
+                             _tails={})
 
     @classmethod
     def from_maps(cls, maps):
@@ -337,7 +340,7 @@ class IFS:
 
     def band(self, r, cap=BAND_CAP):
         """The mass band of level r with the geometry of each word, formed a
-        level at a time with compose's arithmetic, so that ``band(r)[k]`` is
+        level at a time by the child step, so that ``band(r)[k]`` is
         ``compose(band(r).words[k])`` bit for bit; sorting the words (a prefix
         first) gives depth-first order.  A band of more than ``cap`` words is
         refused, before a level's geometry is formed where that level has more
@@ -351,33 +354,47 @@ class IFS:
             depth, r_s = depth + 1, r_s * r_max
             if depth > BAND_DEPTH_CAP:
                 raise LevelTooLarge(f"mass band {r} descends past level {BAND_DEPTH_CAP}")
-        table = (np.arange(1, self.m + 1, dtype=np.min_scalar_type(self.m)),
-                 *np.array(list(self._rows.values())).T)
-        # the empty word and the identity's (r, theta, orient, tx, ty, log_r)
-        level = (np.empty((1, 0), table[0].dtype), *np.array([[1.0], [0], [1], [0], [0], [0]]))
+        symbols = np.arange(1, self.m + 1, dtype=np.min_scalar_type(self.m))
+        # each level's words as rows of symbols, beside their geometry
+        level, spelt = CylinderBatch.of([IDENTITY]), np.empty((1, 0), symbols.dtype)
         parts, size = [], 0
         while True:
-            parent, i = np.nonzero(np.multiply.outer(level[1], table[1]) > low)
+            parent, i = np.nonzero(np.multiply.outer(level.r, self._maps.r) > low)
             if len(parent) > cap or size > cap:
                 raise LevelTooLarge(f"mass band exceeds cap {cap}")
             if not len(parent):
                 break
-            level = _band_children(level, parent, i, table)
-            emit = level[1] <= r
+            level = _band_children(level, parent, i, self._maps)
+            spelt = np.column_stack((spelt[parent], symbols[i]))
+            emit = level.r <= r
             size += np.count_nonzero(emit)
             if emit.any():
-                parts.append(level if emit.all() else [col[emit] for col in level])
+                parts.append((spelt, level) if emit.all() else (spelt[emit], level.take(emit)))
         words = []
-        for mat in (part[0] for part in parts):
+        for mat, _ in parts:
             for k in range(0, len(mat), 4096):  # keeps the lists tolist forms small
                 words.extend(zip(*mat[k:k + 4096].T.tolist()))
-        cols = list(parts[0][1:])
-        if len(parts) > 1:  # more than one level emits
-            order = sorted(range(len(words)), key=words.__getitem__)
-            words = [words[k] for k in order]
-            cols = [np.concatenate(col)[order] for col in list(zip(*parts))[1:]]
-        cols[2] = cols[2].astype(np.int8)
-        return Band(words, *cols)
+        band = parts[0][1]
+        if len(parts) > 1:  # more than one level emits: sort the zero-padded rows
+            width = parts[-1][0].shape[1]
+            rows = np.concatenate([np.pad(mat, ((0, 0), (0, width - mat.shape[1]))) for mat, _ in parts])
+            order = np.lexsort(rows.T[::-1])
+            words = [words[k] for k in order.tolist()]
+            columns = zip(*(part.columns() for _, part in parts))
+            band = CylinderBatch(*(np.concatenate(col)[order] for col in columns))
+        band.words = words
+        return band
+
+    def cover(self, n, level=None):
+        """The level-n descendants u.v of the words u of the batch ``level``
+        (the empty word where None), each by n child steps, in (u, v) order:
+        from the empty word, the m^n words of length n in lexicographic
+        order, row k ``compose`` of the k-th word bit for bit."""
+        level = CylinderBatch.of([IDENTITY]) if level is None else level
+        for _ in range(n):
+            parent, i = np.divmod(np.arange(len(level) * self.m), self.m)
+            level = _band_children(level, parent, i, self._maps)
+        return level
 
     def pi_point(self, g_u, anchor, tol=1e-12):
         """Approximate the coded point of u . anchor, given g_u = compose(u),
@@ -412,38 +429,66 @@ class IFS:
         return tail
 
 
-def _band_children(level, parent, i, table):
-    """The children u + (i+1,) of a band level's words u = words[parent]."""
-    (words, r_s, th, o, tx, ty, lr), (symbols, hr, hth, ho, hx, hy, hlr) = level, table
-    c, s = np.cos(th)[parent], np.sin(th)[parent]
-    r_p, o_p = r_s[parent], o[parent]
-    t = np.fmod(th[parent] + o_p * hth[i], TWO_PI)
-    t[t < 0.0] += TWO_PI
-    return (np.column_stack((words[parent], symbols[i])), r_p * hr[i], t, o_p * ho[i],
-            r_p * (c * hx[i] - o_p * s * hy[i]) + tx[parent],
-            r_p * (s * hx[i] + o_p * c * hy[i]) + ty[parent], lr[parent] + hlr[i])
-
-
 @dataclass(eq=False)
-class Band:
-    """The words of a mass band and their geometries, one numpy column per
-    geometry field (orient as int8); ``band[k]`` is the CylinderGeometry of
-    ``band.words[k]``, in Python scalars."""
+class CylinderBatch:
+    """The geometries F_u of a batch of words u, one numpy column per
+    CylinderGeometry field (theta in [0, 2*pi), orient as int8), in word
+    order; ``batch[k]`` is row k's CylinderGeometry in Python scalars.  A
+    mass band also holds its ``words``, as tuples.
 
-    words: list
+    Bands and covers grow by the one child step ``_band_children``, with
+    compose's arithmetic, so row k is ``compose`` of its word bit for bit.
+    ``images`` is the one code that applies the maps to arrays of points."""
+
     r: np.ndarray
     theta: np.ndarray
     orient: np.ndarray
     tx: np.ndarray
     ty: np.ndarray
     log_r: np.ndarray
+    words: list = None
+
+    @classmethod
+    def of(cls, geoms):
+        """The batch of a sequence of CylinderGeometry."""
+        cols = np.array([astuple(g) for g in geoms]).T
+        return cls(cols[0], cols[1], cols[2].astype(np.int8), *cols[3:])
+
+    def columns(self):
+        """The six geometry columns, in CylinderGeometry's field order."""
+        return self.r, self.theta, self.orient, self.tx, self.ty, self.log_r
 
     def __len__(self):
-        return len(self.words)
+        return len(self.r)
 
     def __getitem__(self, k):
-        cols = (self.r, self.theta, self.orient, self.tx, self.ty, self.log_r)
-        return CylinderGeometry(*(col[k].item() for col in cols))
+        return CylinderGeometry(*(col[k].item() for col in self.columns()))
+
+    def take(self, rows):
+        """The rows at ``rows``, an index or boolean mask array, without words."""
+        return CylinderBatch(*(col[rows] for col in self.columns()))
+
+    def images(self, x, y):
+        """F_u(p) for every row u (outer) and every point p (inner) of the
+        points (x, y), numbers or arrays, flattened; each is
+        CylinderGeometry.apply's expression, bit for bit."""
+        r, o = self.r[:, None], self.orient[:, None]
+        c, s = np.cos(self.theta)[:, None], np.sin(self.theta)[:, None]
+        return ((r * (c * x - o * s * y) + self.tx[:, None]).ravel(),
+                (r * (s * x + o * c * y) + self.ty[:, None]).ravel())
+
+
+def _band_children(level, parent, i, maps):
+    """The children u.(i+1) of a batch's words u = level[parent]: F_u o F_{i+1},
+    with compose's arithmetic, for the batch ``maps`` of the system's maps."""
+    c, s = np.cos(level.theta)[parent], np.sin(level.theta)[parent]
+    r_p, o_p = level.r[parent], level.orient[parent]
+    t = np.fmod(level.theta[parent] + o_p * maps.theta[i], TWO_PI)
+    t[t < 0.0] += TWO_PI
+    return CylinderBatch(r_p * maps.r[i], t, o_p * maps.orient[i],
+                         r_p * (c * maps.tx[i] - o_p * s * maps.ty[i]) + level.tx[parent],
+                         r_p * (s * maps.tx[i] + o_p * c * maps.ty[i]) + level.ty[parent],
+                         level.log_r[parent] + maps.log_r[i])
 
 
 def _enclosing_disk(maps):
@@ -457,55 +502,6 @@ def _enclosing_disk(maps):
     return center, r0
 
 
-class CylinderBatch:
-    """The cylinders F_u of a set of words, one array entry per word: x, y
-    are the images F_u(p) of an anchor point p, r the ratio, theta the angle
-    (not reduced mod 2*pi) and orient the orientation, as int8.
-
-    ``CylinderBatch.at(points)`` is the empty word at each anchor point, and
-    ``children(maps)`` goes one level deeper; it is the only code that
-    applies the maps to arrays of points.  It treats each row on its own, so
-    the children of rows picked with ``take`` are bit for bit those rows'
-    children in the whole batch, which the visibility oracle tests check."""
-
-    def __init__(self, x, y, r, theta, orient):
-        self.x, self.y, self.r, self.theta, self.orient = x, y, r, theta, orient
-
-    @classmethod
-    def at(cls, points):
-        """The empty word anchored at one point (x, y) or at each row of an
-        array of points."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        k = len(pts)
-        return cls(
-            pts[:, 0].copy(), pts[:, 1].copy(), np.ones(k), np.zeros(k), np.ones(k, np.int8)
-        )
-
-    def children(self, maps):
-        """The words i.u for each map F_i and each word u of the batch, in
-        that order: entry i*N + j is F_i o F_{u_j}."""
-        pts = np.column_stack((self.x, self.y))
-        images = np.vstack([f.r * pts @ f.matrix().T + np.array([f.tx, f.ty]) for f in maps])
-        # contiguous coordinate arrays keep the per-angle projection cheap
-        return CylinderBatch(
-            images[:, 0].copy(),
-            images[:, 1].copy(),
-            np.concatenate([f.r * self.r for f in maps]),
-            np.concatenate([f.theta + f.orient * self.theta for f in maps]),
-            np.concatenate([f.orient * self.orient for f in maps]),
-        )
-
-    def take(self, rows):
-        """The cylinders at ``rows``, an index or boolean mask array."""
-        return CylinderBatch(
-            self.x[rows], self.y[rows], self.r[rows], self.theta[rows], self.orient[rows]
-        )
-
-    def project(self, theta):
-        """Projections of the anchor images onto the unit vector at theta."""
-        return self.x * math.cos(theta) + self.y * math.sin(theta)
-
-
 # ---------------------------------------------------------------------------
 # Convex bodies used for projection intervals.
 
@@ -517,15 +513,12 @@ class DiskBody:
         self.center = center
         self.radius = radius
 
-    def interval(self, g, theta):
-        """Projection at theta of the disk under g, a CylinderGeometry or a
-        Band's columns; the centre is mapped as CylinderGeometry.apply does."""
-        x, y = self.center
-        c, s = np.cos(g.theta), np.sin(g.theta)
-        cx = g.r * (c * x - g.orient * s * y) + g.tx
-        cy = g.r * (s * x + g.orient * c * y) + g.ty
+    def interval(self, batch, theta):
+        """Projections at theta of the disk under each row of a
+        CylinderBatch."""
+        cx, cy = batch.images(*self.center)
         p = cx * math.cos(theta) + cy * math.sin(theta)
-        h = g.r * self.radius
+        h = batch.r * self.radius
         return p - h, p + h
 
 
@@ -613,12 +606,13 @@ def attractor_hull(ifs):
     from .errors import HullNotInvariant
 
     fixes = [f.fixed_point() for f in ifs.maps]
-    sample = CylinderBatch.at(fixes)
+    level = ifs.cover(0)
     for _ in range(HULL_DEPTH):
-        sample = sample.children(ifs.maps)
-        if len(sample.x) > HULL_SAMPLE_CAP:
+        level = ifs.cover(1, level)
+        if len(level) * len(fixes) > HULL_SAMPLE_CAP:
             break
-    hull = _convex_hull(list(zip(sample.x.tolist(), sample.y.tolist())) + fixes)
+    x, y = level.images(*np.array(fixes).T)
+    hull = _convex_hull(list(zip(x.tolist(), y.tolist())) + fixes)
     cx = sum(p[0] for p in hull) / len(hull)
     cy = sum(p[1] for p in hull) / len(hull)
     lam = 0.0

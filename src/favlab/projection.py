@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LevelTooLarge, PreconditionViolated, ResolutionTooCoarse
+from .errors import Indeterminate, LevelTooLarge, PreconditionViolated, ResolutionTooCoarse
 from .favard import merge_intervals
-from .ifs import TWO_PI, CylinderBatch, TailWord, exceeds, norm_angle
+from .ifs import TWO_PI, TailWord, exceeds, norm_angle
 from .rotation import find_rotation_word, steering_suffix
 
 LEVEL_CAP = 2**21  # cylinders of a level measure or visibility cover
@@ -40,13 +40,10 @@ def _check_level(ifs, n):
         raise LevelTooLarge(f"{ifs.m}^{n} cylinders exceed cap {LEVEL_CAP}")
 
 
-def _level_cover(ifs, anchor, n):
-    """The level-n cylinders anchored at one point, at most LEVEL_CAP."""
+def _level_cover(ifs, n):
+    """The geometries of the level-n cylinders, at most LEVEL_CAP."""
     _check_level(ifs, n)
-    cover = CylinderBatch.at(anchor)
-    for _ in range(n):
-        cover = cover.children(ifs.maps)
-    return cover
+    return ifs.cover(n)
 
 
 def level_measure(ifs, theta, n):
@@ -54,9 +51,10 @@ def level_measure(ifs, theta, n):
     weighted by the natural measure r_u^gamma."""
     if n < 0:
         raise PreconditionViolated("n >= 0 required")
-    cover = _level_cover(ifs, ifs.maps[0].fixed_point(), n)
+    cover = _level_cover(ifs, n)
+    x, y = cover.images(*ifs.maps[0].fixed_point())
     return AtomicMeasure(
-        positions=cover.project(theta),
+        positions=x * math.cos(theta) + y * math.sin(theta),
         weights=cover.r**ifs.gamma,
         scale=n,
         position_error=ifs.D * cover.r,
@@ -196,11 +194,15 @@ class VisibilityEstimate:
     full_circle: bool
 
 
-def _seen_from(cover, a, ifs):
+def _disks(blocks, points, a, R0):
     """Offsets (dx, dy) from a, distances and radii of the disks
-    F_u(D(c, R0)) of a cover anchored at the centre c."""
-    dx, dy = cover.x - a[0], cover.y - a[1]
-    return dx, dy, np.hypot(dx, dy), cover.r * ifs.R0
+    F_p(F_q(D(c, R0))) for every block word p (outer) and inner word q
+    (inner), given the rows (x, y, r) of ``points``: F_q(c) and r_q."""
+    x, y, r = points
+    dx, dy = blocks.images(x, y)
+    dx -= a[0]
+    dy -= a[1]
+    return dx, dy, np.hypot(dx, dy), np.multiply.outer(blocks.r, r).ravel() * R0
 
 
 def _arcs(dx, dy, dist, radii):
@@ -211,27 +213,13 @@ def _arcs(dx, dy, dist, radii):
     return (mid - half) % TWO_PI, 2.0 * half
 
 
-def _descend(ifs, cover, wanted, k):
-    """The cylinders u.q for the words q of a cover and the level-k prefixes
-    u that the boolean array ``wanted`` marks in the level-k cover's word
-    order.  ``children`` prepends a prefix's symbols innermost first, so
-    after j steps a row carries the last j symbols of its prefix, which are
-    the prefix's index mod m^j; only the rows where those end a wanted prefix
-    go on."""
-    m = ifs.m
-    want = np.flatnonzero(wanted)
-    if not len(want):
-        return cover.take(slice(0, 0))
-    tag = np.zeros(len(cover.x), dtype=np.int64)
-    for j in range(k):
-        cover = cover.children(ifs.maps)
-        tag = (np.arange(m)[:, None] * m**j + tag).ravel()
-        ends = np.zeros(m ** (j + 1), dtype=bool)
-        ends[want % m ** (j + 1)] = True
-        keep = ends[tag]
-        if not keep.all():
-            cover, tag = cover.take(keep), tag[keep]
-    return cover
+def _seen_arcs(disks):
+    """The arcs of the disks, refused where a positive width vanishes into
+    the rounding of its start: the arc would count as a point."""
+    starts, widths = _arcs(*disks)
+    if np.any((widths > 0.0) & (starts + widths == starts)):
+        raise Indeterminate("an arc is narrower than the rounding of its start angle")
+    return starts, widths
 
 
 def visibility_estimate(ifs, a, s, n):
@@ -247,28 +235,33 @@ def visibility_estimate(ifs, a, s, n):
     n = 1 to 42.1 at n = 10).
 
     The cover is never built whole.  Its words fall into blocks, one per
-    level-k prefix p, k = max(n - VIS_BLOCK_LEVELS, 0); as F_i(D) lies in D,
-    a block's disks all lie in the prefix disk F_p(D).  So only the near
-    blocks, whose disk holds a within a slack widened for rounding, can hold
-    a disk that contains a, and they are expanded first.  Failing that, the
-    arcs of the near blocks' words and of the words ending in a largest-ratio
-    map, 1/m of the cover, form an inner union L, which lies in the answer.
-    A far block is skipped when its disk's arc, widened by a rounding margin,
-    lies inside one component of L and a bound on its words' arc widths lies
-    below L's widest arc: its arcs then lie strictly inside a component of
-    the arcs kept and are narrower than the widest arc kept, so they change
-    neither the union nor delta.  The other far blocks' remaining words are
-    formed, and those of their arc pieces that no piece of L holds are merged
-    once with L's pieces.  The components, delta, covering sum and
-    full-circle flag are those of merging every level-n arc at once, bit for
-    bit, and no arc is formed twice."""
+    level-k prefix p, k = max(n - VIS_BLOCK_LEVELS, 0), and the disk of a word
+    p.q is F_p applied to the disk of q in the level-(n - k) inner cover:
+    centre F_p(F_q(c)), radius r_p r_q R0.  As F_i(D) lies in D, a block's
+    disks all lie in the prefix disk F_p(D).  So only the near blocks, whose
+    disk holds a within a slack widened for rounding, can hold a disk that
+    contains a, and they are expanded first.  Failing that, the arcs of the
+    near blocks' words and of the words ending in a largest-ratio map, 1/m of
+    the cover, form an inner union L, which lies in the answer.  A far block
+    is skipped when its disk's arc, widened by a rounding margin, lies inside
+    one component of L and a bound on its words' arc widths lies below L's
+    widest arc: its arcs then lie strictly inside a component of the arcs
+    kept and are narrower than the widest arc kept, so they change neither
+    the union nor delta.  The other far blocks' remaining words are formed,
+    and those of their arc pieces that no piece of L holds are merged once
+    with L's pieces.  The components, delta, covering sum and full-circle
+    flag are those of merging every level-n arc at once, bit for bit, and no
+    arc is formed twice.  An arc of positive width whose end rounds back to
+    its start is refused as Indeterminate, since the sum would miss it."""
     if not (0.0 < s <= 2.0):
         raise PreconditionViolated("s in (0, 2] required")
     _check_level(ifs, n)
     m, R0 = ifs.m, ifs.R0
     k = max(n - VIS_BLOCK_LEVELS, 0)
-    inner = _level_cover(ifs, ifs.center, n - k)
-    bdx, bdy, bdist, bradii = _seen_from(_level_cover(ifs, ifs.center, k), a, ifs)
+    inner = _level_cover(ifs, n - k)
+    points = np.array([*inner.images(*ifs.center), inner.r])
+    blocks = _level_cover(ifs, k)
+    bdx, bdy, bdist, bradii = _disks(blocks, (*ifs.center, 1.0), a, R0)
     # positions, distances and angles carry rounding errors near eps * scale;
     # where scale overflows, every block is near and the descent is dense
     scale = R0 + abs(ifs.center[0]) + abs(ifs.center[1]) + abs(a[0]) + abs(a[1])
@@ -278,20 +271,19 @@ def visibility_estimate(ifs, a, s, n):
     if near.any():
         # a word's disk lies in its block's, so every disk that contains a
         # is in a near block
-        dx, dy, dist, radii = _seen_from(_descend(ifs, inner, near, k), a, ifs)
-        engulfing = int(np.count_nonzero(dist <= radii + 1e-15 * R0))
+        disks = _disks(blocks.take(near), points, a, R0)
+        engulfing = int(np.count_nonzero(disks[2] <= disks[3] + 1e-15 * R0))
         if engulfing:
             return VisibilityEstimate(
                 covering_sum=TWO_PI**s, delta=TWO_PI, components=1,
                 engulfing_cylinders=engulfing, full_circle=True,
             )
-        sample.append(_arcs(dx, dy, dist, radii))
+        sample.append(_seen_arcs(disks))
     star = max(range(m), key=lambda i: ifs.maps[i].r)
     # a word's last symbol is its inner cover index mod m; at n = 0 the one
     # word is empty and forms L alone
-    ends_star = (np.arange(len(inner.x)) % m == star) | (n == 0)
-    cover = _descend(ifs, inner.take(ends_star), far, k)
-    sample.append(_arcs(*_seen_from(cover, a, ifs)))
+    ends_star = (np.arange(len(inner)) % m == star) | (n == 0)
+    sample.append(_seen_arcs(_disks(blocks.take(far), points[:, ends_star], a, R0)))
     starts, widths = map(np.concatenate, zip(*sample))
     widest = widths.max()
     held = merge_intervals(*_arc_pieces(starts, widths))
@@ -315,8 +307,7 @@ def visibility_estimate(ifs, a, s, n):
     skip = np.zeros_like(far)
     skip[far] = inside & (bound + margin < widest)
 
-    cover = _descend(ifs, inner.take(~ends_star), far & ~skip, k)
-    starts, widths = _arcs(*_seen_from(cover, a, ifs))
+    starts, widths = _seen_arcs(_disks(blocks.take(far & ~skip), points[:, ~ends_star], a, R0))
     lo, hi = _arc_pieces(starts, widths)
     # a piece that lies inside one of L's leaves the union as it is
     new = ~_inside(held.los, held.his, lo, hi)

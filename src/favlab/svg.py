@@ -8,7 +8,6 @@ import math
 from .errors import LevelTooLarge
 from .favard import merge_intervals
 from .ifs import exceeds
-from .projection import _level_cover
 
 SVG_SIZE = 640  # pixels across the point cloud
 GLYPH_CAP = 200_000  # circles of one drawing
@@ -25,7 +24,8 @@ def render_svg(ifs, depth, theta=None):
     """
     if exceeds(ifs.m, depth, GLYPH_CAP):
         raise LevelTooLarge(f"{ifs.m}^{depth} glyphs exceed cap {GLYPH_CAP}")
-    cover = _level_cover(ifs, ifs.center, depth)
+    cover = ifs.cover(depth)
+    xs, ys = cover.images(*ifs.center)
     radii = cover.r * ifs.R0
     cx, cy = ifs.center
     r0 = max(ifs.R0, 1e-9)
@@ -45,14 +45,14 @@ def render_svg(ifs, depth, theta=None):
         f'height="{SVG_SIZE + bar_h}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE + bar_h}">',
         f'<rect width="{SVG_SIZE}" height="{SVG_SIZE + bar_h}" fill="white"/>',
     ]
-    for x, y, r in zip(cover.x.tolist(), cover.y.tolist(), radii.tolist()):
+    for x, y, r in zip(xs.tolist(), ys.tolist(), radii.tolist()):
         rr = max(r * scale, 0.3)
         lines.append(
             f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="{_fmt(rr)}" '
             'fill="steelblue" fill-opacity="0.6"/>'
         )
     if theta is not None:
-        mid = cover.project(theta)
+        mid = xs * math.cos(theta) + ys * math.sin(theta)
         merged = merge_intervals(mid - radii, mid + radii)
         y0 = SVG_SIZE + 10
         for a, b in merged.intervals:

@@ -459,6 +459,19 @@ def test_visible_nonfinite_exit2(tmp_path, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ax, ay, n", [("1e308", "1e308", "3"), ("1e12", "0", "9")])
+def test_visible_vanishing_arcs_exit1(tmp_path, ax, ay, n):
+    # seen from there the cylinder disks' arcs are narrower than the rounding
+    # of their start angles, so a covering sum of 0.0 would understate
+    out = tmp_path / "vis.csv"
+    r = run_cli("visible", "--ifs", FIG1, "--ax", ax, "--ay", ay, "--s", "1",
+                "--n", n, "--csv", str(out))
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert r.stderr.splitlines()[-1].startswith("ERROR indeterminate: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
 def test_bad_thread_count_exit2(value):
     r = run_cli("favard", "--ifs", FIG1, "--n", "3", "--angles", "4",

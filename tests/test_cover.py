@@ -1,8 +1,10 @@
-"""CylinderBatch, the one level-n cover expansion, against copies of the five
-numpy loops it replaced (the disk and hull sweeper steps, the level-measure
-arrays, the visibility centres and the attractor-hull sample), bit for bit;
-the Similitude geometry and the shared decay-CSV reader."""
+"""CylinderBatch, the one batch of cylinders, and its one child step: every
+level-n cover point (the disk and hull sweeper covers, the level-measure
+atoms, the visibility disks and the attractor-hull sample) against the
+word-by-word path ``ifs.compose(w).apply(p)``, bit for bit; the Similitude
+geometry and the shared decay-CSV reader."""
 
+import itertools
 import math
 import pathlib
 
@@ -11,17 +13,18 @@ import pytest
 
 from favlab.errors import ConfigError
 from favlab import ifs as ifs_mod
+from favlab import projection
 from favlab.favard import _LevelSweeper, decay_samples, favard
 from favlab.ifs import (
     IFS,
     CylinderBatch,
     CylinderGeometry,
+    DiskBody,
     HullBody,
     Similitude,
     _contains,
     _convex_hull,
     attractor_hull,
-    compose_geoms,
 )
 from favlab.projection import level_measure, visibility_estimate
 from test_favard import _seeded_reflected_system
@@ -41,81 +44,32 @@ def system(request):
 
 
 def bits(*arrays):
-    return [np.asarray(a).tobytes() for a in arrays]
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
 
 
-# ------------------------------------------------------------ the old loops
+# ------------------------------------------------------- the word-by-word path
 
 
-def old_disk_levels(ifs, levels):
-    """The disk branch of the old sweeper step: centres and ratios."""
-    x = np.array([ifs.center[0]], dtype=float)
-    y = np.array([ifs.center[1]], dtype=float)
-    ratios = np.ones(1)
-    for n in range(max(levels) + 1):
-        if n:
-            centers = np.column_stack((x, y))
-            pts, rats = [], []
-            for f in ifs.maps:
-                m = f.matrix()
-                pts.append(f.r * centers @ m.T + np.array([f.tx, f.ty]))
-                rats.append(f.r * ratios)
-            pts = np.vstack(pts)
-            x, y = pts[:, 0].copy(), pts[:, 1].copy()
-            ratios = np.concatenate(rats)
-        yield n, x, y, ratios
+def words(ifs, n):
+    """The words of length n in lexicographic order."""
+    return list(itertools.product(range(1, ifs.m + 1), repeat=n))
 
 
-def old_hull_levels(ifs, levels):
-    """The hull branch of the old sweeper step: ratios, unreduced angles,
-    orientations (as floats) and translations."""
-    r, theta, orient, t = np.ones(1), np.zeros(1), np.ones(1), np.zeros((1, 2))
-    for n in range(max(levels) + 1):
-        if n:
-            rs, ths, ors, ts = [], [], [], []
-            for f in ifs.maps:
-                m = f.matrix()
-                rs.append(f.r * r)
-                ths.append(f.theta + f.orient * theta)
-                ors.append(f.orient * orient)
-                ts.append(f.r * t @ m.T + np.array([f.tx, f.ty]))
-            r, theta = np.concatenate(rs), np.concatenate(ths)
-            orient, t = np.concatenate(ors), np.vstack(ts)
-        yield n, r, theta, orient, t
+def geoms(ifs, n):
+    return [ifs.compose(w) for w in words(ifs, n)]
 
 
-def old_level_arrays(ifs, anchor, n):
-    """The old level-measure and visibility loop: anchor images and ratios."""
-    pts = np.array(anchor, dtype=float).reshape(1, 2)
-    ratios = np.ones(1)
-    for _ in range(n):
-        layer_pts, layer_r = [], []
-        for f in ifs.maps:
-            m = f.matrix()
-            layer_pts.append(f.r * pts @ m.T + np.array([f.tx, f.ty]))
-            layer_r.append(f.r * ratios)
-        pts = np.vstack(layer_pts)
-        ratios = np.concatenate(layer_r)
-    return pts, ratios
+def applied(gs, points):
+    """x and y of g.apply(p) for every geometry g (outer) and point p (inner)."""
+    pts = [g.apply(p) for g in gs for p in points]
+    return [x for x, _ in pts], [y for _, y in pts]
 
 
-def old_hull_sample(ifs, depth):
+def word_by_word_hull(ifs, depth=6, tol=1e-9):
+    """attractor_hull with its sample formed word by word."""
     fixes = [f.fixed_point() for f in ifs.maps]
-    pts = np.array(fixes, dtype=float)
-    for _ in range(depth):
-        layers = []
-        for f in ifs.maps:
-            m = f.matrix()
-            layers.append(f.r * pts @ m.T + np.array([f.tx, f.ty]))
-        pts = np.vstack(layers)
-        if len(pts) > 200_000:
-            break
-    return fixes, pts
-
-
-def old_attractor_hull(ifs, depth=6, tol=1e-9):
-    fixes, pts = old_hull_sample(ifs, depth)
-    hull = _convex_hull([tuple(p) for p in pts] + fixes)
+    x, y = applied(geoms(ifs, depth), fixes)
+    hull = _convex_hull(list(zip(x, y)) + fixes)
     cx = sum(p[0] for p in hull) / len(hull)
     cy = sum(p[1] for p in hull) / len(hull)
     lam = 0.0
@@ -124,7 +78,7 @@ def old_attractor_hull(ifs, depth=6, tol=1e-9):
         if all(_contains(verts, f.apply(v), tol) for f in ifs.maps for v in verts):
             return HullBody(verts)
         lam = max(2.0 * lam, ifs.r_min**depth)
-    raise AssertionError("the old loop could not certify a hull")
+    raise AssertionError("the word-by-word hull could not be certified")
 
 
 # ------------------------------------------------------------ bit identity
@@ -132,61 +86,81 @@ def old_attractor_hull(ifs, depth=6, tol=1e-9):
 
 def test_disk_sweeper_cover_matches_old_step(system):
     sweeper = _LevelSweeper(system)
-    for n, x, y, ratios in old_disk_levels(system, LEVELS):
+    for n in LEVELS:
         sweeper.advance_to(n)
-        cover = sweeper.cover
-        assert bits(cover.x, cover.y, cover.r) == bits(x, y, ratios)
-        assert cover.x.flags.c_contiguous and cover.y.flags.c_contiguous
+        gs = geoms(system, n)
+        assert bits(sweeper.x, sweeper.y) == bits(*applied(gs, [system.center]))
+        assert bits(sweeper.cover.r) == bits([g.r for g in gs])
 
 
 def test_hull_sweeper_cover_matches_old_step(system):
     sweeper = _LevelSweeper(system, body=attractor_hull(system))
-    for n, r, theta, orient, t in old_hull_levels(system, LEVELS):
+    for n in LEVELS:
         sweeper.advance_to(n)
-        cover = sweeper.cover
+        cover, gs = sweeper.cover, geoms(system, n)
         assert cover.orient.dtype == np.int8
-        assert bits(cover.r, cover.theta, cover.orient.astype(float)) == bits(r, theta, orient)
-        assert bits(cover.x, cover.y) == bits(t[:, 0], t[:, 1])
-        # each cylinder's support direction is the same array too
-        assert bits(cover.orient * (0.7 - cover.theta)) == bits(orient * (0.7 - theta))
+        assert bits(cover.r, cover.theta, cover.orient, cover.tx, cover.ty, cover.log_r) == bits(
+            *([getattr(g, f) for g in gs] for f in ("r", "theta", "orient", "tx", "ty", "log_r"))
+        )
+        # the origin's images, and each cylinder's support direction
+        assert bits(sweeper.x, sweeper.y) == bits(*applied(gs, [(0.0, 0.0)]))
+        assert bits(cover.orient * (0.7 - cover.theta)) == bits([g.orient * (0.7 - g.theta) for g in gs])
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.37, 2.9])
 def test_level_measure_matches_old_arrays(system, theta):
+    c, s = math.cos(theta), math.sin(theta)
     for n in LEVELS:
-        pts, ratios = old_level_arrays(system, system.maps[0].fixed_point(), n)
+        gs = geoms(system, n)
+        x, y = applied(gs, [system.maps[0].fixed_point()])
         measure = level_measure(system, theta, n)
-        pos = pts[:, 0] * math.cos(theta) + pts[:, 1] * math.sin(theta)
         assert bits(measure.positions, measure.weights, measure.position_error) == bits(
-            pos, ratios**system.gamma, system.D * ratios
+            [a * c + b * s for a, b in zip(x, y)],
+            # numpy's power, whose last bits may differ from the scalar pow
+            np.array([g.r for g in gs]) ** system.gamma,
+            [system.D * g.r for g in gs],
         )
 
 
 def test_visibility_centres_match_old_loop(system):
-    cover = CylinderBatch.at(system.center)
+    # the disk of a word p.q, p of level k and q of level n - k, is F_p
+    # applied to the disk of q
     for n in LEVELS:
-        if n:
-            cover = cover.children(system.maps)
-        centers, ratios = old_level_arrays(system, system.center, n)
-        assert bits(cover.x, cover.y, cover.r) == bits(centers[:, 0], centers[:, 1], ratios)
-    # visibility_estimate counts the disks about the old centres that contain a
-    n = max(LEVELS)
-    centers, ratios = old_level_arrays(system, system.center, n)
-    for k in (0, len(ratios) // 3, len(ratios) - 1):
-        a = (float(centers[k, 0]), float(centers[k, 1]))
-        dist = np.hypot(centers[:, 0] - a[0], centers[:, 1] - a[1])
-        expected = int((dist <= ratios * system.R0 + 1e-15).sum())
+        k = max(n - projection.VIS_BLOCK_LEVELS, 0)
+        inner, blocks = geoms(system, n - k), geoms(system, k)
+        qx, qy = applied(inner, [system.center])
+        x, y = applied(blocks, list(zip(qx, qy)))
+        radii = [g.r * q.r * system.R0 for g in blocks for q in inner]
+        cover = system.cover(n - k)
+        points = np.array([*cover.images(*system.center), cover.r])
+        dx, dy, _, got = projection._disks(system.cover(k), points, (0.0, 0.0), system.R0)
+        assert bits(dx, dy, got) == bits(x, y, radii)
+    # visibility_estimate counts the disks about these centres that contain a
+    x, y, radii = np.array(x), np.array(y), np.array(radii)
+    for j in (0, len(radii) // 3, len(radii) - 1):
+        a = (float(x[j]), float(y[j]))
+        expected = int((np.hypot(x - a[0], y - a[1]) <= radii + 1e-15 * system.R0).sum())
         assert visibility_estimate(system, a, 1.0, n).engulfing_cylinders == expected >= 1
 
 
-def test_attractor_hull_sample_matches_old_loop(system):
+def test_attractor_hull_sample_matches_old_loop(system, monkeypatch):
+    fixes = [f.fixed_point() for f in system.maps]
     for depth in (0, 1, 6):
-        fixes, pts = old_hull_sample(system, depth)
-        sample = CylinderBatch.at(fixes)
-        for _ in range(depth):
-            sample = sample.children(system.maps)
-        assert bits(sample.x, sample.y) == bits(pts[:, 0], pts[:, 1])
-    new, old = attractor_hull(system), old_attractor_hull(system)
+        monkeypatch.setattr(ifs_mod, "HULL_DEPTH", depth)
+        seen = []
+
+        def record(points):
+            seen.extend(points)
+            raise _Sampled
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ifs_mod, "_convex_hull", record)
+            with pytest.raises(_Sampled):
+                attractor_hull(system)
+        x, y = applied(geoms(system, depth), fixes)
+        assert bits(seen) == bits(list(zip(x, y)) + fixes)
+    monkeypatch.setattr(ifs_mod, "HULL_DEPTH", 6)
+    new, old = attractor_hull(system), word_by_word_hull(system)
     assert new.vertices.tobytes() == old.vertices.tobytes()
 
 
@@ -195,7 +169,8 @@ class _Sampled(Exception):
 
 
 def test_hull_sample_stops_past_the_point_cap(monkeypatch):
-    # 4^9 > 200,000: the sample stops at depth 9 although depth 12 is asked
+    # 4^8 words at 4 fixed points pass 200,000: the sample stops at depth 8
+    # although depth 12 is asked
     monkeypatch.setattr(ifs_mod, "HULL_DEPTH", 12)
     ifs = _seeded_reflected_system(5)
     seen = []
@@ -207,29 +182,35 @@ def test_hull_sample_stops_past_the_point_cap(monkeypatch):
     monkeypatch.setattr(ifs_mod, "_convex_hull", record)
     with pytest.raises(_Sampled):
         attractor_hull(ifs)
-    fixes, pts = old_hull_sample(ifs, 12)
-    assert len(pts) == 4**9
-    assert np.array(seen).tobytes() == np.vstack((pts, fixes)).tobytes()
+    fixes = [f.fixed_point() for f in ifs.maps]
+    x, y = ifs.cover(8).images(*np.array(fixes).T)
+    assert len(x) == 4**9
+    assert bits(seen) == bits(list(zip(x.tolist(), y.tolist())) + fixes)
+    # a sample of those words, word by word
+    for k in range(0, 4**8, 997):
+        g = ifs.compose(tuple(int(d) + 1 for d in np.base_repr(k, 4).zfill(8)))
+        for j, p in enumerate(fixes):
+            assert (x[4 * k + j], y[4 * k + j]) == g.apply(p)
 
 
 def test_batch_word_order_and_project():
+    # row k of a cover is compose of the k-th word; take keeps rows bit for
+    # bit; images runs row-major over rows and points; DiskBody.interval
+    # projects each row's image of the centre
     ifs = _seeded_reflected_system(5)
-    cover = CylinderBatch.at([(0.2, -0.1), (0.5, 0.5)]).children(ifs.maps).children(ifs.maps)
-    k = 0
-    for i in range(ifs.m):
-        for j in range(ifs.m):
-            for p in ((0.2, -0.1), (0.5, 0.5)):
-                g = compose_geoms(ifs.maps[i], ifs.maps[j])
-                assert (cover.x[k], cover.y[k]) == pytest.approx(g.apply(p), abs=1e-15)
-                assert cover.r[k] == ifs.maps[i].r * ifs.maps[j].r
-                assert cover.orient[k] == g.orient
-                assert math.cos(cover.theta[k]) == pytest.approx(math.cos(g.theta), abs=1e-14)
-                k += 1
-    assert k == len(cover.x)
+    cover, gs = ifs.cover(2), geoms(ifs, 2)
+    assert [cover[k] for k in range(len(cover))] == gs
+    rows = np.array([5, 0, 11])
+    part = cover.take(rows)
+    assert [part[j] for j in range(3)] == [gs[k] for k in rows]
+    points = [(0.2, -0.1), (0.5, 0.5)]
+    x, y = cover.images(*np.array(points).T)
+    assert bits(x, y) == bits(*applied(gs, points))
     theta = 1.1
-    assert bits(cover.project(theta)) == bits(
-        cover.x * math.cos(theta) + cover.y * math.sin(theta)
-    )
+    lo, hi = DiskBody(ifs.center, ifs.R0).interval(cover, theta)
+    mid = [a * math.cos(theta) + b * math.sin(theta) for a, b in zip(*applied(gs, [ifs.center]))]
+    assert bits(lo, hi) == bits([p - g.r * ifs.R0 for p, g in zip(mid, gs)],
+                                [p + g.r * ifs.R0 for p, g in zip(mid, gs)])
 
 
 # ------------------------------------------------------------ similitude

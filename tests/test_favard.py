@@ -34,7 +34,7 @@ from favlab.favard import (
     projection_sweep,
     schedule,
 )
-from favlab.ifs import IFS, DiskBody, Similitude, attractor_hull
+from favlab.ifs import IFS, CylinderBatch, DiskBody, Similitude, attractor_hull
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +245,7 @@ def test_cylinder_interval_identity(ifs):
     from favlab.ifs import IDENTITY
 
     body = DiskBody(ifs.center, ifs.R0)
-    lo, hi = body.interval(IDENTITY, 0.0)
+    (lo,), (hi,) = body.interval(CylinderBatch.of([IDENTITY]), 0.0)
     assert lo == pytest.approx(-1.0)
     assert hi == pytest.approx(1.0)
 
@@ -253,7 +253,7 @@ def test_cylinder_interval_identity(ifs):
 def test_cylinder_interval_width_theta_free(ifs):
     body = DiskBody(ifs.center, ifs.R0)
     g = ifs.compose((1, 2))
-    widths = [np.subtract(*reversed(body.interval(g, t)))
+    widths = [np.subtract(*reversed(body.interval(CylinderBatch.of([g]), t)))
               for t in np.linspace(0, math.pi, 17)]
     assert np.allclose(widths, 2 * g.r * ifs.R0, atol=1e-12)
 
@@ -263,7 +263,7 @@ def test_cylinder_interval_boundary_oracle(ifs):
     body = DiskBody(ifs.center, ifs.R0)
     g = ifs.compose((1, 3, 2))
     for theta in (0.0, 0.7, 2.5):
-        lo, hi = body.interval(g, theta)
+        (lo,), (hi,) = body.interval(CylinderBatch.of([g]), theta)
         ts = np.linspace(0, 2 * math.pi, 1024, endpoint=False)
         bx = ifs.center[0] + ifs.R0 * np.cos(ts)
         by = ifs.center[1] + ifs.R0 * np.sin(ts)
@@ -1035,7 +1035,7 @@ def _dense_hull_intervals(sweeper, theta):
     sup = np.cos(psi)[:, None] * verts[:, 0][None, :] + np.sin(psi)[:, None] * verts[
         :, 1
     ][None, :]
-    mid = cover.x * math.cos(theta) + cover.y * math.sin(theta)
+    mid = sweeper.x * math.cos(theta) + sweeper.y * math.sin(theta)
     return mid + cover.r * sup.min(axis=1), mid + cover.r * sup.max(axis=1)
 
 

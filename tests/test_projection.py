@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from favlab import cli, projection
+from favlab import ifs as ifs_mod
 from favlab.errors import LevelTooLarge
 from favlab.ifs import IFS, TWO_PI, CylinderBatch, Similitude
 from favlab.projection import (
@@ -20,7 +21,6 @@ from favlab.projection import (
     visibility_estimate,
     _arc_pieces,
     _inside,
-    _level_cover,
 )
 from favlab.relclose import power_family
 
@@ -286,11 +286,14 @@ def test_visibility_s_monotone_in_s(ifs):
 def _dense_visibility(ifs, a, s, n):
     """[DERIVED] oracle: the estimate from the arcs of the whole level-n
     cover, merged at once, as visibility_estimate computed it before its
-    block descent."""
-    cover = _level_cover(ifs, ifs.center, n)
-    radii = cover.r * ifs.R0
-    dx = cover.x - a[0]
-    dy = cover.y - a[1]
+    block descent.  The disk of a word p.q, p of level k and q of level
+    n - k, is F_p applied to the disk of q, as the descent splits it."""
+    k = max(n - projection.VIS_BLOCK_LEVELS, 0)
+    inner, blocks = ifs.cover(n - k), ifs.cover(k)
+    x, y = blocks.images(*inner.images(*ifs.center))
+    radii = np.multiply.outer(blocks.r, inner.r).ravel() * ifs.R0
+    dx = x - a[0]
+    dy = y - a[1]
     dist = np.hypot(dx, dy)
     n_engulf = int((dist <= radii + 1e-15 * ifs.R0).sum())
     if n_engulf > 0:
@@ -385,12 +388,13 @@ def test_visibility_on_block_boundary_matches_dense(ifs, seed):
     k = 4
     n = k + projection.VIS_BLOCK_LEVELS
     for sys_ in (ifs, system):
-        blocks = _level_cover(sys_, sys_.center, k)
-        for p in rng.sample(range(len(blocks.x)), 3):
+        blocks = sys_.cover(k)
+        x, y = blocks.images(*sys_.center)
+        for p in rng.sample(range(len(x)), 3):
             for grow in (1.0, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6):
                 phi = rng.uniform(0.0, TWO_PI)
                 rad = blocks.r[p] * sys_.R0 * grow
-                a = (blocks.x[p] + rad * math.cos(phi), blocks.y[p] + rad * math.sin(phi))
+                a = (x[p] + rad * math.cos(phi), y[p] + rad * math.sin(phi))
                 _assert_dense_bits(sys_, a, ns=(n,), ss=(1.0,))
 
 
@@ -398,47 +402,110 @@ def test_visibility_at_cylinder_centre_matches_dense(ifs):
     system, rng = _seeded_system(2)
     for sys_ in (ifs, system):
         for n in range(10):
-            cover = _level_cover(sys_, sys_.center, n)
-            j = rng.randrange(len(cover.x))
-            a = (float(cover.x[j]), float(cover.y[j]))
+            x, y = sys_.cover(n).images(*sys_.center)
+            j = rng.randrange(len(x))
+            a = (float(x[j]), float(y[j]))
             _assert_dense_bits(sys_, a, ns=(n, min(n + 2, 9)))
+
+
+@st.composite
+def _system_and_centre(draw):
+    """A 2-4 map system, each map a reflection or not, with ratios of at
+    least max(0.25, 1/m) and fixed points in [-1, 1]^2, and a centre outside
+    its enclosing disk, on it, or at a level-10 cylinder centre."""
+    m = draw(st.integers(2, 4))
+    maps = []
+    for _ in range(m):
+        r = draw(st.floats(max(0.25, 1.0 / m), 0.9))
+        theta = draw(st.floats(0.0, TWO_PI, exclude_max=True))
+        orient = draw(st.sampled_from((1, -1)))
+        px, py = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+        c, s = math.cos(theta), math.sin(theta)
+        maps.append(Similitude(
+            r=r, theta=theta, orient=orient,
+            tx=px - r * (c * px - orient * s * py),
+            ty=py - r * (s * px + orient * c * py),
+        ))
+    system = IFS.from_maps(maps)
+    (cx, cy), R = system.center, system.R0
+    phi = draw(st.floats(0.0, TWO_PI))
+    where = draw(st.sampled_from(("outside", "on", "inside")))
+    if where == "inside":
+        a = system.center
+        for i in draw(st.lists(st.integers(0, m - 1), min_size=10, max_size=10)):
+            a = system.maps[i].apply(a)
+    else:
+        grow = 2.5 if where == "outside" else 1.0
+        a = (cx + grow * R * math.cos(phi), cy + grow * R * math.sin(phi))
+    return system, a
+
+
+@settings(max_examples=60, deadline=None)
+@given(_system_and_centre())
+def test_visibility_random_systems_match_dense(system_and_centre):
+    system, a = system_and_centre
+    _assert_dense_bits(system, a, ns=range(8))
 
 
 def test_visibility_prunes_without_adding_work(ifs, monkeypatch):
     # every arc the descent forms goes through _arcs, and every union
-    # through merge_intervals
-    formed, merged = [], []
+    # through merge_intervals; the child step forms the rows of the block
+    # and inner covers and no others, and every level-n disk that images
+    # forms is passed whole to _arcs, none formed and then dropped
+    formed, merged, seen, disks, stepped = [], [], [], [], []
     arcs, merge = projection._arcs, projection.merge_intervals
+    images, children = CylinderBatch.images, ifs_mod._band_children
 
     def counting_arcs(dx, *rest):
         formed.append(len(dx))
+        seen.append(dx)
         return arcs(dx, *rest)
 
     def counting_merge(lo, hi):
         merged.append(len(lo))
         return merge(lo, hi)
 
+    def recording_images(self, x, y):
+        out = images(self, x, y)
+        if np.ndim(x):  # the words' disk centres, not a cover's images of c
+            disks.append(out[0])
+        return out
+
+    def counting_children(*args):
+        out = children(*args)
+        stepped.append(len(out))
+        return out
+
     monkeypatch.setattr(projection, "_arcs", counting_arcs)
     monkeypatch.setattr(projection, "merge_intervals", counting_merge)
+    monkeypatch.setattr(CylinderBatch, "images", recording_images)
+    monkeypatch.setattr(ifs_mod, "_band_children", counting_children)
     system, rng = _seeded_system(1)
     n = 9
-    visibility_estimate(system, _centres(system, rng)["outside"], 1.0, n)
-    blocks = system.m ** (n - projection.VIS_BLOCK_LEVELS)
-    assert sum(merged) < system.m**n / 2
-    assert sum(formed) - blocks < system.m**n / 2
-    formed.clear()
-    merged.clear()
-    visibility_estimate(ifs, (3.0, 0.0), 1.0, n)
-    assert sum(merged) <= ifs.m**n
-    assert sum(formed) - ifs.m ** (n - projection.VIS_BLOCK_LEVELS) <= ifs.m**n
+    k = n - projection.VIS_BLOCK_LEVELS
+    for sys_, a in ((system, _centres(system, rng)["outside"]), (ifs, (3.0, 0.0))):
+        for record in (formed, merged, seen, disks, stepped):
+            record.clear()
+        visibility_estimate(sys_, a, 1.0, n)
+        m = sys_.m
+        assert sum(stepped) == sum(m**j for j in range(1, k + 1)) + sum(
+            m**j for j in range(1, n - k + 1)
+        )
+        assert disks and all(any(d is dx for dx in seen) for d in disks)
+        if sys_ is system:
+            assert sum(merged) < m**n / 2
+            assert sum(formed) - m**k < m**n / 2
+        else:
+            assert sum(merged) <= m**n
+            assert sum(formed) - m**k <= m**n
 
 
 def test_visibility_level_cap_before_any_work(ifs, monkeypatch, capsys):
-    def no_children(self, maps):
+    def no_children(*args):
         raise AssertionError("a cover was built past the level cap")
 
     with monkeypatch.context() as patch:
-        patch.setattr(CylinderBatch, "children", no_children)
+        patch.setattr(ifs_mod, "_band_children", no_children)
         with pytest.raises(LevelTooLarge) as err:
             visibility_estimate(ifs, (3.0, 0.0), 1.0, 14)
     assert str(err.value) == "level-too-large: 3^14 cylinders exceed cap 2097152"

@@ -23,7 +23,7 @@ from favlab.ifs import (
     IFS,
     TAIL_CACHE,
     TWO_PI,
-    Band,
+    CylinderBatch,
     CylinderGeometry,
     Similitude,
     TailWord,
@@ -85,9 +85,9 @@ def old_band(ifs, r, cap=2_000_000):
     if not (0.0 < r < 1.0):
         raise ConfigError(f"band level {r} outside (0,1)")
     words = old_mass_band(ifs, r, cap)
-    gs = [old_compose(ifs, w) for w in words]
-    fields = ("r", "theta", "orient", "tx", "ty", "log_r")
-    return Band(words, *(np.array([getattr(g, f) for g in gs]) for f in fields))
+    band = CylinderBatch.of([old_compose(ifs, w) for w in words])
+    band.words = words
+    return band
 
 
 def old_pi_point(ifs, u, anchor, tol=1e-12, g=IDENTITY):
