@@ -223,6 +223,19 @@ def _stack(parts):
     return IntervalSet(los, his, half)
 
 
+def _unique_rows(rows):
+    """The distinct rows of an integer matrix in ascending order, column 0
+    first, and the index in them of each row: np.unique(rows, axis=0,
+    return_inverse=True), by one lexsort and a first-of-run mask."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(ranked), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    inverse = np.empty(len(ranked), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first], inverse
+
+
 class _ProjectionRecursion:
     """Projected lengths of the level covers of a system and body by
     P_j(phi) = U_i r_i P_{j-1}(o_i (phi - theta_i)) + <e_phi, t_i>, passing
@@ -293,8 +306,8 @@ class _ProjectionRecursion:
             if j - 1 in ns:
                 below = np.vstack((below, home))
             keys.append(level)
-            level, inverse = np.unique(below, axis=0, return_inverse=True)
-            children.append(inverse.reshape(-1)[: len(keys[-1]) * ifs.m].reshape(-1, ifs.m))
+            level, inverse = _unique_rows(below)
+            children.append(inverse[: len(keys[-1]) * ifs.m].reshape(-1, ifs.m))
         keys.append(level)
         body = body or DiskBody(ifs.center, ifs.R0)
         return cls(ifs, body, ns, [theta for theta, _ in classes], keys[::-1], [None] + children[::-1])

@@ -552,8 +552,21 @@ class HullBody:
 
 
 def _convex_hull(points):
-    """Monotone chain; collinear input collapses to its two extreme points."""
-    pts = sorted(set(map(tuple, points)))
+    """Monotone chain; collinear input collapses to its two extreme points.
+    The points strictly inside the octagon of the extreme points in eight
+    directions are dropped first, by a slack far above the rounding of the
+    cross products: none is a vertex, and the chain would pop each."""
+    xy = np.array(points, dtype=float).reshape(-1, 2)
+    x, y = xy.T
+    directions = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+    octagon = [tuple(xy[np.argmax(u * x + v * y)]) for u, v in directions]
+    slack = 1e-9 * (np.abs(x).max() + np.abs(y).max()) ** 2
+    # with fewer than three distinct corners no point is strictly inside
+    inside = np.full(len(xy), len(set(octagon)) > 2)
+    for (ax, ay), (bx, by) in zip(octagon, octagon[1:] + octagon[:1]):
+        if (ax, ay) != (bx, by):
+            inside &= (bx - ax) * (y - ay) - (by - ay) * (x - ax) > slack
+    pts = sorted(set(map(tuple, xy[~inside].tolist())))
     if len(pts) <= 2:
         return pts
 

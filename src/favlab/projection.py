@@ -149,11 +149,20 @@ def density_witness(ifs, cert, theta):
     )
 
 
+def _turn(x):
+    """x % TWO_PI, bit for bit, for an array x in [-2*pi, 2*pi]: an add where
+    x < 0 and a subtract where x >= 2*pi, in place of numpy's float
+    remainder, which takes several times as long."""
+    out = x + TWO_PI * (x < 0.0)
+    np.subtract(out, TWO_PI, out=out, where=x >= TWO_PI)
+    return out
+
+
 def _arc_pieces(starts, widths):
-    """Closed arcs [start, start + width] of the circle as closed pieces
-    (lo, hi) of [0, 2*pi]: an arc that wraps past 2*pi splits into a tail
-    piece and a head piece."""
-    s = np.asarray(starts, dtype=float) % TWO_PI
+    """Closed arcs [start, start + width], start in [0, 2*pi], of the circle
+    as closed pieces (lo, hi) of [0, 2*pi]: an arc that wraps past 2*pi
+    splits into a tail piece and a head piece."""
+    s = _turn(np.asarray(starts, dtype=float))
     e = s + np.asarray(widths, dtype=float)
     wrap = e > TWO_PI
     lo = np.concatenate([s, np.zeros(int(wrap.sum()))])
@@ -206,11 +215,11 @@ def _disks(blocks, points, a, R0):
 
 
 def _arcs(dx, dy, dist, radii):
-    """Start, in [0, 2*pi), and width of the arc that each disk subtends
-    from outside it."""
-    mid = np.arctan2(dy, dx) % TWO_PI
+    """Start, in [0, 2*pi] (2*pi only where a start just below 0 rounds
+    up), and width of the arc that each disk subtends from outside it."""
+    mid = _turn(np.arctan2(dy, dx))
     half = np.arcsin(np.minimum(1.0, radii / dist))
-    return (mid - half) % TWO_PI, 2.0 * half
+    return _turn(mid - half), 2.0 * half
 
 
 def _seen_arcs(disks):

@@ -10,6 +10,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from favlab.errors import ConfigError
 from favlab import ifs as ifs_mod
@@ -191,6 +193,88 @@ def test_hull_sample_stops_past_the_point_cap(monkeypatch):
         g = ifs.compose(tuple(int(d) + 1 for d in np.base_repr(k, 4).zfill(8)))
         for j, p in enumerate(fixes):
             assert (x[4 * k + j], y[4 * k + j]) == g.apply(p)
+
+
+def _chain(points):
+    """[DERIVED] ``_convex_hull`` as it was before its octagon filter: the
+    monotone chain over every distinct point."""
+    pts = sorted(set(map(tuple, points)))
+    if len(pts) <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower, upper = [], []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 2:
+        return [pts[0], pts[-1]]
+    return hull
+
+
+def _same_hull(points):
+    got, want = _convex_hull(points), _chain(points)
+    assert len(got) == len(want)
+    assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", ["fig1"] + [f"seed{k}" for k in (1, 2, 3, 5, 8, 13, 21)])
+def test_hull_filter_keeps_the_chain_vertices(name, monkeypatch):
+    # on the attractor sample that attractor_hull passes to _convex_hull
+    if name == "fig1":
+        system = IFS.from_json(str(ROOT / "configs" / "fig1.json"))
+    else:
+        system = _seeded_reflected_system(int(name[4:]))
+    seen = []
+
+    def record(points):
+        seen.extend(points)
+        raise _Sampled
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ifs_mod, "_convex_hull", record)
+        with pytest.raises(_Sampled):
+            attractor_hull(system)
+    _same_hull(seen)
+
+
+@st.composite
+def _clouds(draw):
+    """1-9 or up to 200 points at one scale: free floats, a small integer
+    grid (duplicates and collinear runs), points on one line, or a disk of
+    points with its rim."""
+    scale = draw(st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]))
+    size = draw(st.one_of(st.integers(1, 9), st.integers(10, 200)))
+    kind = draw(st.sampled_from(["free", "grid", "line", "disk"]))
+    if kind == "free":
+        unit = st.floats(-1.0, 1.0)
+        pts = draw(st.lists(st.tuples(unit, unit), min_size=size, max_size=size))
+    elif kind == "grid":
+        step = st.integers(-3, 3).map(float)
+        pts = draw(st.lists(st.tuples(step, step), min_size=size, max_size=size))
+    elif kind == "line":
+        ox, oy, dx, dy = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4))
+        ts = draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
+        pts = [(ox + t * dx, oy + t * dy) for t in ts]
+    else:
+        phis = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=size, max_size=size))
+        rads = draw(st.lists(st.sampled_from([1.0, 0.999999, 0.5, 0.0]), min_size=size, max_size=size))
+        pts = [(r * math.cos(p), r * math.sin(p)) for p, r in zip(phis, rads)]
+    return [(x * scale, y * scale) for x, y in pts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clouds())
+def test_hull_filter_matches_the_chain_on_point_clouds(points):
+    _same_hull(points)
 
 
 def test_batch_word_order_and_project():

@@ -707,6 +707,54 @@ def test_recursion_eligibility(ifs, monkeypatch):
         of(generic, [12], None)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda cols: st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), min_size=1, max_size=60)
+    )
+)
+def test_unique_rows_matches_numpy_unique(rows):
+    rows = np.array(rows, dtype=np.intp)
+    keys, inverse = FAVARD._unique_rows(rows)
+    want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert keys.dtype == want.dtype and keys.tobytes() == want.tobytes()
+    assert inverse.tobytes() == want_inverse.reshape(-1).tobytes()
+
+
+def _old_key_table(ifs, ns):
+    """[DERIVED] the recursion's keys and children as ``of`` formed them by
+    np.unique(axis=0), before the lexsort."""
+    classes = [c for c in dict.fromkeys((f.theta, f.orient) for f in ifs.maps) if c != (0.0, 1)]
+    steps = np.array([[(f.theta, f.orient) == c for c in [None, *classes]] for f in ifs.maps], dtype=np.intp)
+    orients = np.array([[f.orient] for f in ifs.maps])
+    home = np.eye(1, 1 + len(classes), dtype=np.intp)
+    level, keys, children = home, [], []
+    for j in range(max(ns), 0, -1):
+        below = (orients * (level[:, None, :] - steps)).reshape(-1, 1 + len(classes))
+        if j - 1 in ns:
+            below = np.vstack((below, home))
+        keys.append(level)
+        level, inverse = np.unique(below, axis=0, return_inverse=True)
+        children.append(inverse.reshape(-1)[: len(keys[-1]) * ifs.m].reshape(-1, ifs.m))
+    return (keys + [level])[::-1], children[::-1]
+
+
+def test_key_table_matches_numpy_unique(ifs):
+    homothety_and_reflection = IFS.from_maps(
+        [
+            Similitude(r=0.3, theta=0.0, orient=1, tx=0.0, ty=0.0),
+            Similitude(r=0.4, theta=0.7, orient=-1, tx=0.6, ty=0.1),
+            Similitude(r=0.35, theta=2.1, orient=1, tx=0.2, ty=0.7),
+        ]
+    )
+    for system in (ifs, homothety_and_reflection, _seeded_reflected_system(3), _seeded_reflected_system(17)):
+        for ns in ([9], [2, 5, 9], range(0, 8)):
+            recursion = FAVARD._ProjectionRecursion.of(system, ns, None)
+            keys, children = _old_key_table(system, set(ns))
+            assert [k.tobytes() for k in recursion.keys] == [k.tobytes() for k in keys]
+            assert [c.tobytes() for c in recursion.children[1:]] == [c.tobytes() for c in children]
+
+
 @pytest.mark.parametrize("system", ["fig1", "reflected"])
 def test_recursive_sweep_bit_identical_across_threads(ifs, system, monkeypatch):
     if system == "reflected":

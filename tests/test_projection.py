@@ -176,6 +176,15 @@ def _assert_same_arcs(starts, widths):
     ]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-TWO_PI, TWO_PI), max_size=40))
+def test_turn_is_the_float_remainder(xs):
+    edges = [0.0, -0.0, TWO_PI, -TWO_PI, math.pi, -math.pi, -1e-300, -5e-324, -1e-17,
+             np.nextafter(TWO_PI, 0.0), np.nextafter(-TWO_PI, 0.0), math.nan]
+    x = np.array(xs + edges)
+    assert projection._turn(x).tobytes() == (x % TWO_PI).tobytes()
+
+
 _GRID_ANGLE = st.integers(0, 15).map(lambda k: k * math.pi / 8)
 
 
