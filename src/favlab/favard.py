@@ -22,18 +22,15 @@ one angle's level takes in over all its keys, not by m^n: fig1 runs to
 n = 18 and stops at n = 19, and a sparse cover can pass INTERVAL_CAP at a
 level whose m^n cylinders fit it.
 
-The level sweeper keeps the level-n cover as one ``CylinderBatch`` and
-projects every cylinder at an angle.  It is the tests' oracle, and nothing
-in the package uses it.
-
 FAVLAB_THREADS (an integer >= 1, default min(4, CPUs)) sets the threads of
 the one pool a sweep builds, over which the recursion maps parts of its
 angles; a sweep of one part builds none.
 
-The recursion's lengths differ from the sweeper's in the last bits (the
-body is projected once per direction rather than once per cylinder; on
-fig1 at n <= 12 and 64 angles by at most 4.7e-13 relative), and are
-bit-identical across worker counts."""
+The recursion's lengths differ in the last bits from those of the whole
+level-n cover projected cylinder by cylinder, the tests' oracle (the body
+is projected once per direction rather than once per cylinder; on fig1 at
+n <= 12 and 64 angles by at most 4.7e-13 relative), and are bit-identical
+across worker counts."""
 
 from __future__ import annotations
 
@@ -143,43 +140,6 @@ def default_workers():
     return int(env)
 
 
-class _LevelSweeper:
-    """Incrementally maintained level-n cylinder cover for one system, with
-    no cap of its own: the reference cover of the tests.  Each cylinder's
-    geometry is applied to an anchor: a disk body's centre, or for a hull
-    body the origin, whose images are the cylinders' translations."""
-
-    def __init__(self, ifs, body=None):
-        self.ifs = ifs
-        self.body = body or DiskBody(ifs.center, ifs.R0)
-        self._disk = isinstance(self.body, DiskBody)
-        self.anchor = self.body.center if self._disk else (0.0, 0.0)
-        self.n, self.cover = 0, ifs.cover(0)
-        self.x, self.y = self.cover.images(*self.anchor)
-
-    def advance_to(self, n):
-        if self.n < n:
-            self.cover = self.ifs.cover(n - self.n, self.cover)
-            self.n = n
-            self.x, self.y = self.cover.images(*self.anchor)
-
-    def intervals_at(self, theta):
-        cover = self.cover
-        mid = self.x * math.cos(theta) + self.y * math.sin(theta)
-        if self._disk:
-            half = cover.r * self.body.radius
-            return mid - half, mid + half
-        lo, hi = self.body.support_range(cover.orient * (theta - cover.theta))
-        return mid + cover.r * lo, mid + cover.r * hi
-
-    def merged_at(self, theta):
-        """Union of the projected level-n intervals at angle theta."""
-        return merge_intervals(*self.intervals_at(theta))
-
-    def length_at(self, theta):
-        return self.merged_at(theta).total_length
-
-
 @dataclass
 class _Block:
     """Angles start:stop of a recursive sweep at level j: one row per (angle,
@@ -253,8 +213,8 @@ class _ProjectionRecursion:
 
     Where every ratio is equal and the body is a disk, a component is its
     extreme centre projections; its endpoints are formed only to merge and
-    to measure, as c - h and c + h with the level sweeper's own half-width
-    h = r_j R (``half[j]``), r_j built as ``IFS.cover`` builds it.
+    to measure, as c - h and c + h with the half-width h = r_j R of a
+    level-j disk (``half[j]``), r_j built as ``IFS.cover`` builds it.
     Otherwise a component is its endpoints (``half[j]`` is 0), and each
     map scales its children by its own ratio.  One level step serves a
     block of angles and every key at once: each (angle, key) row gathers its
@@ -445,7 +405,7 @@ def neighborhood_projection_length(ifs, rho, theta):
         raise PreconditionViolated("rho in (0,1) required")
     if rho < ifs.r_min**BAND_DEPTH_CAP:
         raise RhoTooSmall(f"rho below r_min^{BAND_DEPTH_CAP}")
-    los, his = DiskBody(ifs.center, ifs.R0).interval(ifs.band(rho), theta)
+    los, his = DiskBody(ifs.center, ifs.R0).interval(ifs.band(rho)[0], theta)
     return merge_intervals(los - rho, his + rho).total_length
 
 

@@ -11,11 +11,12 @@ exactly the arithmetic of the left fold of ``compose_geoms`` from the
 identity, so its results are bit-identical to that fold.  A batch of words
 is a ``CylinderBatch`` of geometry columns, and mass bands (``IFS.band``) and
 level covers (``IFS.cover``) grow by the one child step u -> u.i with the
-same arithmetic, so no word is recomposed from the root.
-``CylinderBatch.images`` is the one code path that applies the maps to
-arrays of points.  ``IFS.pi_point`` takes a word's composed geometry from its
-caller, which composes each word once per check, and computes an anchor's
-tail map once per (anchor, tol).
+same arithmetic, so no word is recomposed from the root.  A band keeps its
+words as a matrix of symbol rows beside its batch, and ``row_words`` forms
+tuples only where a word is read.  ``CylinderBatch.images`` is the one code
+path that applies the maps to arrays of points.  ``IFS.pi_point`` takes a
+word's composed geometry from its caller, which composes each word once per
+check, and computes an anchor's tail map once per (anchor, tol).
 """
 
 from __future__ import annotations
@@ -336,15 +337,17 @@ class IFS:
 
     def mass_band(self, r):
         """All words s with r*r_min < r_s <= r, in depth-first symbol order."""
-        return self.band(r).words
+        return row_words(self.band(r)[1])
 
     def band(self, r, cap=BAND_CAP):
-        """The mass band of level r with the geometry of each word, formed a
-        level at a time by the child step, so that ``band(r)[k]`` is
-        ``compose(band(r).words[k])`` bit for bit; sorting the words (a prefix
-        first) gives depth-first order.  A band of more than ``cap`` words is
-        refused, before a level's geometry is formed where that level has more
-        than ``cap`` nodes, as each node heads band words of its own."""
+        """The mass band of level r, the words s with r*r_min < r_s <= r, as
+        a pair (batch, symbols): the (N, depth) unsigned matrix ``symbols``
+        holds word k's symbols in row k, followed by zeros, and row k of the
+        ``CylinderBatch`` is its ``compose`` bit for bit, formed a level at a
+        time by the child step.  Sorting the rows (a prefix first) gives
+        depth-first order.  A band of more than ``cap`` words is refused,
+        before a level's geometry is formed where that level has more than
+        ``cap`` nodes, as each node heads band words of its own."""
         if not (0.0 < r < 1.0):
             raise ConfigError(f"band level {r} outside (0,1)")
         low = r * self.r_min
@@ -354,9 +357,9 @@ class IFS:
             depth, r_s = depth + 1, r_s * r_max
             if depth > BAND_DEPTH_CAP:
                 raise LevelTooLarge(f"mass band {r} descends past level {BAND_DEPTH_CAP}")
-        symbols = np.arange(1, self.m + 1, dtype=np.min_scalar_type(self.m))
+        digits = np.arange(1, self.m + 1, dtype=np.min_scalar_type(self.m))
         # each level's words as rows of symbols, beside their geometry
-        level, spelt = CylinderBatch.of([IDENTITY]), np.empty((1, 0), symbols.dtype)
+        level, spelt = CylinderBatch.of([IDENTITY]), np.empty((1, 0), digits.dtype)
         parts, size = [], 0
         while True:
             parent, i = np.nonzero(np.multiply.outer(level.r, self._maps.r) > low)
@@ -365,25 +368,20 @@ class IFS:
             if not len(parent):
                 break
             level = _band_children(level, parent, i, self._maps)
-            spelt = np.column_stack((spelt[parent], symbols[i]))
+            spelt = np.column_stack((spelt[parent], digits[i]))
             emit = level.r <= r
             size += np.count_nonzero(emit)
             if emit.any():
                 parts.append((spelt, level) if emit.all() else (spelt[emit], level.take(emit)))
-        words = []
-        for mat, _ in parts:
-            for k in range(0, len(mat), 4096):  # keeps the lists tolist forms small
-                words.extend(zip(*mat[k:k + 4096].T.tolist()))
-        band = parts[0][1]
+        symbols, band = parts[0]
         if len(parts) > 1:  # more than one level emits: sort the zero-padded rows
             width = parts[-1][0].shape[1]
             rows = np.concatenate([np.pad(mat, ((0, 0), (0, width - mat.shape[1]))) for mat, _ in parts])
             order = np.lexsort(rows.T[::-1])
-            words = [words[k] for k in order.tolist()]
+            symbols = rows[order]
             columns = zip(*(part.columns() for _, part in parts))
             band = CylinderBatch(*(np.concatenate(col)[order] for col in columns))
-        band.words = words
-        return band
+        return band, symbols
 
     def cover(self, n, level=None):
         """The level-n descendants u.v of the words u of the batch ``level``
@@ -433,8 +431,7 @@ class IFS:
 class CylinderBatch:
     """The geometries F_u of a batch of words u, one numpy column per
     CylinderGeometry field (theta in [0, 2*pi), orient as int8), in word
-    order; ``batch[k]`` is row k's CylinderGeometry in Python scalars.  A
-    mass band also holds its ``words``, as tuples.
+    order; ``batch[k]`` is row k's CylinderGeometry in Python scalars.
 
     Bands and covers grow by the one child step ``_band_children``, with
     compose's arithmetic, so row k is ``compose`` of its word bit for bit.
@@ -446,7 +443,6 @@ class CylinderBatch:
     tx: np.ndarray
     ty: np.ndarray
     log_r: np.ndarray
-    words: list = None
 
     @classmethod
     def of(cls, geoms):
@@ -465,7 +461,7 @@ class CylinderBatch:
         return CylinderGeometry(*(col[k].item() for col in self.columns()))
 
     def take(self, rows):
-        """The rows at ``rows``, an index or boolean mask array, without words."""
+        """The rows at ``rows``, an index or boolean mask array."""
         return CylinderBatch(*(col[rows] for col in self.columns()))
 
     def images(self, x, y):
@@ -476,6 +472,13 @@ class CylinderBatch:
         c, s = np.cos(self.theta)[:, None], np.sin(self.theta)[:, None]
         return ((r * (c * x - o * s * y) + self.tx[:, None]).ravel(),
                 (r * (s * x + o * c * y) + self.ty[:, None]).ravel())
+
+
+def row_words(symbols):
+    """The words of a band's symbol rows, each row's symbols before its zero
+    padding, as tuples."""
+    lengths = np.count_nonzero(symbols, axis=1).tolist()
+    return [tuple(row[:n]) for row, n in zip(symbols.tolist(), lengths)]
 
 
 def _band_children(level, parent, i, maps):
@@ -556,7 +559,7 @@ def _convex_hull(points):
     The points strictly inside the octagon of the extreme points in eight
     directions are dropped first, by a slack far above the rounding of the
     cross products: none is a vertex, and the chain would pop each."""
-    xy = np.array(points, dtype=float).reshape(-1, 2)
+    xy = np.asarray(points, dtype=float).reshape(-1, 2)
     x, y = xy.T
     directions = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
     octagon = [tuple(xy[np.argmax(u * x + v * y)]) for u, v in directions]
@@ -625,7 +628,7 @@ def attractor_hull(ifs):
         if len(level) * len(fixes) > HULL_SAMPLE_CAP:
             break
     x, y = level.images(*np.array(fixes).T)
-    hull = _convex_hull(list(zip(x.tolist(), y.tolist())) + fixes)
+    hull = _convex_hull(np.concatenate((np.column_stack((x, y)), fixes)))
     cx = sum(p[0] for p in hull) / len(hull)
     cy = sum(p[1] for p in hull) / len(hull)
     lam = 0.0

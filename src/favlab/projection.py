@@ -40,18 +40,13 @@ def _check_level(ifs, n):
         raise LevelTooLarge(f"{ifs.m}^{n} cylinders exceed cap {LEVEL_CAP}")
 
 
-def _level_cover(ifs, n):
-    """The geometries of the level-n cylinders, at most LEVEL_CAP."""
-    _check_level(ifs, n)
-    return ifs.cover(n)
-
-
 def level_measure(ifs, theta, n):
     """One atom per length-n word at the projected coded point of u.1-bar,
     weighted by the natural measure r_u^gamma."""
     if n < 0:
         raise PreconditionViolated("n >= 0 required")
-    cover = _level_cover(ifs, n)
+    _check_level(ifs, n)
+    cover = ifs.cover(n)
     x, y = cover.images(*ifs.maps[0].fixed_point())
     return AtomicMeasure(
         positions=x * math.cos(theta) + y * math.sin(theta),
@@ -267,9 +262,9 @@ def visibility_estimate(ifs, a, s, n):
     _check_level(ifs, n)
     m, R0 = ifs.m, ifs.R0
     k = max(n - VIS_BLOCK_LEVELS, 0)
-    inner = _level_cover(ifs, n - k)
+    inner = ifs.cover(n - k)
     points = np.array([*inner.images(*ifs.center), inner.r])
-    blocks = _level_cover(ifs, k)
+    blocks = ifs.cover(k)
     bdx, bdy, bdist, bradii = _disks(blocks, (*ifs.center, 1.0), a, R0)
     # positions, distances and angles carry rounding errors near eps * scale;
     # where scale overflows, every block is near and the descent is dense

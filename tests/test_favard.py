@@ -23,7 +23,6 @@ from favlab.favard import (
     DecayFit,
     FavardSchedule,
     IntervalSet,
-    _LevelSweeper,
     bound_constant,
     bound_curves,
     favard,
@@ -35,6 +34,7 @@ from favlab.favard import (
     schedule,
 )
 from favlab.ifs import IFS, CylinderBatch, DiskBody, Similitude, attractor_hull
+from oracle import LevelSweeper, sweeper_at
 
 
 @pytest.fixture(scope="module")
@@ -280,26 +280,19 @@ def test_cylinder_interval_boundary_oracle(ifs):
 # ------------------------------------------------------------ lengths
 
 
-def _sweeper_at(ifs, n, body=None):
-    """The level sweeper of (ifs, body) advanced to level n."""
-    sweeper = _LevelSweeper(ifs, body=body)
-    sweeper.advance_to(n)
-    return sweeper
-
-
 def test_segment_projection_length():
     ifs = segment_ifs()
     body = attractor_hull(ifs)
     for n in (1, 3, 5):
         for theta in (0.0, 0.4, 1.0):
-            length = _sweeper_at(ifs, n, body).length_at(theta)
+            length = sweeper_at(ifs, n, body).length_at(theta)
             assert length == pytest.approx(abs(math.cos(theta)), abs=1e-9)
 
 
 def test_four_corner_level1():
     ifs = corner_ifs()
     body = attractor_hull(ifs)
-    ivset = _sweeper_at(ifs, 1, body).merged_at(0.0)
+    ivset = sweeper_at(ifs, 1, body).merged_at(0.0)
     length = ivset.total_length
     # [DERIVED] hand merge: two columns give [0,1/4] u [3/4,1]
     assert length == pytest.approx(0.5, abs=1e-9)
@@ -310,7 +303,7 @@ def test_level_length_monotone(ifs):
     for theta in (0.1, 1.0, 2.0):
         prev = math.inf
         for n in range(1, 8):
-            length = _sweeper_at(ifs, n).length_at(theta)
+            length = sweeper_at(ifs, n).length_at(theta)
             assert length <= prev + 1e-9
             prev = length
 
@@ -318,7 +311,7 @@ def test_level_length_monotone(ifs):
 def test_level_length_matches_rasterization(ifs):
     for n in (3, 5):
         for theta in (0.3, 1.7):
-            sweeper = _sweeper_at(ifs, n)
+            sweeper = sweeper_at(ifs, n)
             los, his = sweeper.intervals_at(theta)
             merged = sweeper.merged_at(theta)
             length = merged.total_length
@@ -340,8 +333,8 @@ def test_rotation_equivariance(ifs):
         ]
     )
     for theta in (0.2, 1.1):
-        a = _sweeper_at(ifs, 4).length_at(theta)
-        b = _sweeper_at(rotated, 4).length_at(theta + beta)
+        a = sweeper_at(ifs, 4).length_at(theta)
+        b = sweeper_at(rotated, 4).length_at(theta + beta)
         assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -372,7 +365,7 @@ def test_neighborhood_vs_level_band(ifs):
     for k in (2, 4, 6):
         rho = (1 / 3) ** k
         a = neighborhood_projection_length(ifs, rho, 0.9)
-        b = _sweeper_at(ifs, k).length_at(0.9)
+        b = sweeper_at(ifs, k).length_at(0.9)
         assert b <= a  # padding only adds length
         assert a / b <= 2.0
 
@@ -433,7 +426,7 @@ def _record_merges(monkeypatch):
 
 def test_fig1_sweep_takes_recursive_path(ifs, monkeypatch):
     thetas = [(j + 0.5) * math.pi / 16 for j in range(16)]
-    sweeper = _LevelSweeper(ifs)
+    sweeper = LevelSweeper(ifs)
     for n in range(0, 8):
         sweeper.advance_to(n)
         for theta in thetas:
@@ -472,7 +465,7 @@ def _assert_recursive_sweeps(cases, monkeypatch):
         swept = projection_sweep(system, [1, 4], thetas, body=body, workers=1)
         assert all(swept[n].tobytes() == lengths[n].tobytes() for n in (1, 4))
         assert forms == ["rows"] * 8
-        sweeper = _LevelSweeper(system, body=body)
+        sweeper = LevelSweeper(system, body=body)
         for n in (1, 4):
             sweeper.advance_to(n)
             for theta, length, count in zip(thetas, lengths[n], components[n]):
@@ -564,7 +557,7 @@ def test_recursion_matches_level_sweeper(system, thetas):
     recursion = FAVARD._ProjectionRecursion.of(system, levels, None)
     assert recursion is not None
     lengths, components = recursion.sweep(thetas, 1)
-    sweeper = _LevelSweeper(system)
+    sweeper = LevelSweeper(system)
     for n in levels:
         sweeper.advance_to(n)
         for a, theta in enumerate(thetas):
@@ -615,7 +608,7 @@ def test_generic_recursion_matches_level_sweeper(system, thetas):
     levels = range(0, 8)
     for body in bodies:
         lengths, components = FAVARD._ProjectionRecursion.of(system, levels, body).sweep(thetas, 1)
-        sweeper = _LevelSweeper(system, body=body)
+        sweeper = LevelSweeper(system, body=body)
         for n in levels:
             sweeper.advance_to(n)
             for a, theta in enumerate(thetas):
@@ -636,7 +629,7 @@ def test_fig1_recursion_matches_live_sweeper(ifs):
     thetas = [(j + 0.5) * math.pi / 64 for j in range(64)]
     levels = list(range(2, 13))
     lengths = projection_sweep(ifs, levels, thetas)
-    sweeper = _LevelSweeper(ifs)
+    sweeper = LevelSweeper(ifs)
     for n in levels:
         sweeper.advance_to(n)
         live = np.array([sweeper.length_at(theta) for theta in thetas])
@@ -970,12 +963,13 @@ def test_pass_past_the_old_merge_cap_runs_on_the_recursion(workers, monkeypatch)
     def refuse(*args, **kwargs):
         raise AssertionError("projection_sweep built the level sweeper")
 
-    monkeypatch.setattr(FAVARD, "_LevelSweeper", refuse)
-    lengths = projection_sweep(system, range(2, 13), thetas, workers=workers)
-    hull_lengths = projection_sweep(system, range(2, 13), thetas, body=hull, workers=workers)
-    oracle = [_sweeper_at(system, 11).length_at(theta) for theta in thetas]
+    with monkeypatch.context() as patch:
+        patch.setattr(LevelSweeper, "__init__", refuse)
+        lengths = projection_sweep(system, range(2, 13), thetas, workers=workers)
+        hull_lengths = projection_sweep(system, range(2, 13), thetas, body=hull, workers=workers)
+    oracle = [sweeper_at(system, 11).length_at(theta) for theta in thetas]
     assert np.allclose(lengths[11], oracle, rtol=1e-13, atol=0.0)
-    hull_sweeper = _sweeper_at(system, 8, body=hull)
+    hull_sweeper = sweeper_at(system, 8, body=hull)
     dense = [merge_intervals(*_dense_hull_intervals(hull_sweeper, theta)).total_length for theta in thetas]
     assert np.allclose(hull_lengths[8], dense, rtol=1e-13, atol=0.0)
 
@@ -1096,7 +1090,7 @@ def test_hull_sweep_bit_identical_to_dense(seed):
     thetas = [(j + 0.5) * math.pi / 16 for j in range(16)] + [0.0, math.pi / 2]
     levels = list(range(0, 7))
     lengths = projection_sweep(ifs, levels, thetas, body=body, workers=2)
-    sweeper = _LevelSweeper(ifs, body=body)
+    sweeper = LevelSweeper(ifs, body=body)
     for n in levels:
         sweeper.advance_to(n)
         for theta, length in zip(thetas, lengths[n]):

@@ -192,8 +192,12 @@ def test_mass_band_matches_enumeration():
     # [DERIVED] oracle: exhaustive enumeration, homogeneous ratios => bands
     # are exactly the words of a fixed length
     for k in (1, 2, 3, 4):
-        band = sorted(ifs.mass_band(1.5 * (1 / 3) ** k))
-        assert band == sorted(
+        r = 1.5 * (1 / 3) ** k
+        batch, symbols = ifs.band(r)
+        assert len(batch) == len(symbols) == 3**k
+        assert symbols.shape == (3**k, k)
+        band = sorted(ifs.mass_band(r))
+        assert band == sorted(map(tuple, symbols.tolist())) == sorted(
             __import__("itertools").product((1, 2, 3), repeat=k)
         )
 

@@ -6,10 +6,12 @@ of ``compose_geoms`` over per-symbol geometries, mass bands recomposed word by
 word from the root, one ``CylinderGeometry.apply`` per band word and an
 uncached ``pi_point``."""
 
+import hashlib
 import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from favlab.ifs import (
     TailWord,
     compose_geoms,
     geom_power,
+    row_words,
 )
 from favlab.favard import merge_intervals, neighborhood_projection_length
 
@@ -81,13 +84,19 @@ def old_mass_band(ifs, r, cap=2_000_000):
     return out
 
 
+def old_rows(ifs, words):
+    """The words as rows of symbols, each padded with zeros to the longest."""
+    symbols = np.zeros((len(words), max(map(len, words))), dtype=np.min_scalar_type(ifs.m))
+    for k, w in enumerate(words):
+        symbols[k, :len(w)] = w
+    return symbols
+
+
 def old_band(ifs, r, cap=2_000_000):
     if not (0.0 < r < 1.0):
         raise ConfigError(f"band level {r} outside (0,1)")
     words = old_mass_band(ifs, r, cap)
-    band = CylinderBatch.of([old_compose(ifs, w) for w in words])
-    band.words = words
-    return band
+    return CylinderBatch.of([old_compose(ifs, w) for w in words]), old_rows(ifs, words)
 
 
 def old_pi_point(ifs, u, anchor, tol=1e-12, g=IDENTITY):
@@ -228,12 +237,61 @@ def test_compose_symbol_out_of_range(word):
 )
 def test_band_geometry_is_compose(ifs, levels):
     for r in levels:
-        band = ifs.band(r)
-        assert band.words == old_mass_band(ifs, r)
-        assert ifs.mass_band(r) == band.words
-        assert len(band) == len(band.words) > 0
-        for k, w in enumerate(band.words):
+        band, symbols = ifs.band(r)
+        words = row_words(symbols)
+        assert words == old_mass_band(ifs, r)
+        assert ifs.mass_band(r) == words
+        assert len(band) == len(symbols) == len(words) > 0
+        assert symbols.tobytes() == old_rows(ifs, words).tobytes()
+        for k, w in enumerate(words):
             assert bits(band[k]) == bits(ifs.compose(w)) == bits(old_compose(ifs, w))
+
+
+# sha256 of each band's symbol rows and of its six geometry columns, as
+# formed when a band carried its words as tuples
+BAND_SHA256 = {
+    ("fig1", 1e-3): ("1deddaf4ff7974e35cb009de1d80cb980ce7db79b290b1096d993574d5b0c567",
+                     "8c278aa56aa2d95a045c49acc615b20746b76d0c4e5d8325b05a38d88357f943"),
+    ("fig1", 1e-5): ("f276a7593cd84beaccb65f5b17974b69c9b54cc8226339070122762fda331941",
+                     "f946affb0ef5463ef54b95a30f07647e9bf5245b040e9b1d12d61c58a18343d3"),
+    ("mixed1", 1e-2): ("b415e2de142d2f1abc11c6e26b7508d31ac5fa3175bc8855ae48f8a0d0f5ee49",
+                       "8549850db705a74530c20ba767efe8f2c8a329eaa7c81515d9431d1b1123197b"),
+    ("mixed1", 1e-3): ("cef584fd878171a9b73d13076916476a3a81f42c9e525da602a32b6f93433825",
+                       "0448d6e8e580389286e63972a54f8e3b3065683408b895e5f472bf2ac76479fe"),
+    ("spread", 1e-2): ("cb1e8471a0ba197f2a814ead0c51f40283e029a26dd3cf836727a92543e9fd19",
+                       "7ee747f3684dd27cdb3f80b4830871942f4e0fc1b6057e8a5a856953bb49e06b"),
+    ("spread", 5e-3): ("ddc876648fd7bc2a9e746184a62c8efee5e04fff74e58199e1c46ce6af0fdf09",
+                       "cbf8f19902872c3b5475acf0a542fb12e66141cfaf806690fde8bfebcb7e981d"),
+}
+
+
+@pytest.mark.parametrize("name, r", sorted(BAND_SHA256))
+def test_band_bytes_are_pinned(name, r):
+    ifs = {"fig1": fig1, "mixed1": lambda: mixed_system(1), "spread": spread_system}[name]()
+    band, symbols = ifs.band(r)
+    assert symbols.dtype == np.uint8
+    columns = b"".join(col.tobytes() for col in band.columns())
+    assert (hashlib.sha256(symbols.tobytes()).hexdigest(),
+            hashlib.sha256(columns).hexdigest()) == BAND_SHA256[name, r]
+    # fig1's band is one level; the others emit at several, so their rows
+    # were sorted
+    lengths = np.count_nonzero(symbols, axis=1)
+    assert (lengths.min() == lengths.max()) == (name == "fig1")
+
+
+def test_band_holds_no_word_objects():
+    # fig1's band at 1e-5 is its 3^11 words of length 11: six columns of 41
+    # bytes and 11 symbol bytes a word, where a tuple a word alone would
+    # pass 64
+    ifs = fig1()
+    tracemalloc.start()
+    try:
+        band, symbols = ifs.band(1e-5)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(band) == len(symbols) == 3**11
+    assert held <= 64 * len(band)
 
 
 def test_band_cap_and_level_errors():
@@ -242,7 +300,7 @@ def test_band_cap_and_level_errors():
     for cap in (100, 2186):
         with pytest.raises(LevelTooLarge):
             ifs.band(1e-3, cap=cap)
-    assert len(ifs.band(1e-3, cap=2187)) == 2187
+    assert len(ifs.band(1e-3, cap=2187)[0]) == 2187
     for r in (0.0, 1.0, -0.5):
         with pytest.raises(ConfigError):
             ifs.band(r)
@@ -275,7 +333,7 @@ def test_numpy_cos_sin_fmod_are_the_math_module_on_band_angles(ifs):
     """The band descent and DiskBody.interval take numpy's float64 cos, sin
     and fmod where compose takes math's; bit identity rests on their
     agreement, which a numpy upgrade could break."""
-    theta = ifs.band(1e-3).theta
+    theta = ifs.band(1e-3)[0].theta
     angles = theta.tolist()
     assert [x.hex() for x in np.cos(theta).tolist()] == [math.cos(t).hex() for t in angles]
     assert [x.hex() for x in np.sin(theta).tolist()] == [math.sin(t).hex() for t in angles]
