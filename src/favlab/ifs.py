@@ -16,7 +16,10 @@ words as a matrix of symbol rows beside its batch, and ``row_words`` forms
 tuples only where a word is read.  ``CylinderBatch.images`` is the one code
 path that applies the maps to arrays of points.  ``IFS.pi_point`` takes a
 word's composed geometry from its caller, which composes each word once per
-check, and computes an anchor's tail map once per (anchor, tol).
+check, and applies it to the anchor's coded point, formed once per anchor in
+closed form: an eventually periodic tail prefix.period.period... codes
+F_prefix(z) for z the fixed point of F_period, so the point carries only
+the rounding of its few operations.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import ConfigError, LevelTooLarge, PreconditionViolated, SymbolOutO
 TWO_PI = 2.0 * math.pi
 
 Word = tuple  # tuple of 1-based symbols
-TAIL_CACHE = 4096  # anchor tails held per system
+TAIL_CACHE = 4096  # anchor points held per system
 BAND_CAP = 2_000_000  # words of one mass band
 BAND_DEPTH_CAP = 600  # levels of the mass-band descent
 HULL_DEPTH = 6  # attractor sample depth of the hull
@@ -112,6 +115,12 @@ class CylinderGeometry:
         o = self.orient
         return np.array([[c, -o * s], [s, o * c]])
 
+    def fixed_point(self):
+        """Solve z = F(z), for a ratio r < 1; the 2x2 system (I - r M) z = t."""
+        a = np.eye(2) - self.r * self.matrix()
+        x, y = np.linalg.solve(a, np.array([self.tx, self.ty]))
+        return (float(x), float(y))
+
 
 @dataclass(frozen=True)
 class Similitude(CylinderGeometry):
@@ -126,12 +135,6 @@ class Similitude(CylinderGeometry):
             raise ConfigError(f"orientation {self.orient} not in {{+1,-1}}")
         object.__setattr__(self, "theta", norm_angle(self.theta))
         object.__setattr__(self, "log_r", math.log(self.r))
-
-    def fixed_point(self):
-        """Solve z = F(z); the 2x2 system (I - r M) z = t."""
-        a = np.eye(2) - self.r * self.matrix()
-        x, y = np.linalg.solve(a, np.array([self.tx, self.ty]))
-        return (float(x), float(y))
 
 
 IDENTITY = CylinderGeometry(1.0, 0.0, 1, 0.0, 0.0, 0.0)
@@ -148,18 +151,6 @@ def compose_geoms(g, h):
         ty=ty,
         log_r=g.log_r + h.log_r,
     )
-
-
-def geom_power(g, k):
-    """g composed with itself k times, by binary exponentiation."""
-    acc = IDENTITY
-    base = g
-    while k > 0:
-        if k & 1:
-            acc = compose_geoms(acc, base)
-        base = compose_geoms(base, base)
-        k >>= 1
-    return acc
 
 
 @dataclass(frozen=True)
@@ -248,7 +239,7 @@ class IFS:
             raise ConfigError("the enclosing disk of the maps exceeds the float range")
         # _rows, the per-symbol rows of compose keyed by symbol, _maps, the
         # same rows as a batch, and _tails, the bounded cache of anchor
-        # tails, are not fields
+        # points, are not fields
         rows = {i: (f.r, f.theta, f.orient, f.tx, f.ty, f.log_r)
                 for i, f in enumerate(self.maps, start=1)}
         self.__dict__.update(gamma=gamma, r_min=min(f.r for f in self.maps), center=center,
@@ -394,37 +385,23 @@ class IFS:
             level = _band_children(level, parent, i, self._maps)
         return level
 
-    def pi_point(self, g_u, anchor, tol=1e-12):
-        """Approximate the coded point of u . anchor, given g_u = compose(u),
-        with a rigorous error radius; g_u = compose(u, compose(s)) gives the
-        point of s . u . anchor.
+    def pi_point(self, g_u, anchor):
+        """The coded point of u . anchor, given g_u = compose(u): F_u applied
+        to the anchor's coded point; g_u = compose(u, compose(s)) gives the
+        point of s . u . anchor."""
+        return g_u.apply(self._anchor_point(anchor))
 
-        The anchor's period is iterated until the residual contraction factor
-        drops below tol; the returned point is within error_radius of the true
-        coded point (both lie in the same image of the enclosing disk).
-        """
-        q, tail_log_r = self._anchor_tail(anchor, tol)
-        p = g_u.apply(q)
-        err = self.D * math.exp(min(g_u.log_r + tail_log_r, 0.0))
-        return p, err
-
-    def _anchor_tail(self, anchor, tol):
-        """Image of the centre under the anchor's tail map and the tail's log
-        ratio, computed once per (anchor, tol) and held in a bounded cache."""
-        key = (anchor, tol)
-        tail = self._tails.get(key)
-        if tail is None:
-            g_per = self.compose(anchor.period)
-            if g_per.log_r >= 0.0:
-                raise ConfigError("anchor period does not contract")
-            k = max(1, math.ceil(math.log(tol) / g_per.log_r))
-            g_tail = compose_geoms(self.compose(anchor.prefix), geom_power(g_per, k))
-            tail = (g_tail.apply(self.center), g_tail.log_r)
+    def _anchor_point(self, anchor):
+        """The coded point of the anchor, F_prefix of the fixed point of
+        F_period, formed once per anchor and held in a bounded cache."""
+        point = self._tails.get(anchor)
+        if point is None:
+            point = self.compose(anchor.prefix).apply(self.compose(anchor.period).fixed_point())
             if len(self._tails) >= TAIL_CACHE:
                 # oldest first; pop tolerates a concurrent caller's eviction
                 self._tails.pop(next(iter(self._tails)), None)
-            self._tails[key] = tail
-        return tail
+            self._tails[anchor] = point
+        return point
 
 
 @dataclass(eq=False)

@@ -109,7 +109,7 @@ def density_witness(ifs, cert, theta):
     # per-word scaled projections q_i . e_psi where q_i = F_{u_i}(coded tail)
     def scaled_proj(w, g_w):
         om = cert.omegas.get(tuple(sorted((u1, w))), fallback_tail)
-        return project(ifs.pi_point(g_w, om)[0], psi)
+        return project(ifs.pi_point(g_w, om), psi)
 
     base = scaled_proj(u1, g1)
     b_scaled = 5.0 * ifs.D * r_u1
@@ -132,9 +132,8 @@ def density_witness(ifs, cert, theta):
     # ratio = sum_i mu([s u_i]) / (2b)^gamma with r_s^gamma cancelling
     ratio = mass / (10.0 * ifs.D * r_u1) ** ifs.gamma
     log10_b = (gs.log_r + math.log(b_scaled)) / math.log(10.0)
-    x_point, _ = ifs.pi_point(ifs.compose(u1, gs), fallback_tail)
     return DensityWitness(
-        x=project(x_point, theta),
+        x=project(ifs.pi_point(ifs.compose(u1, gs), fallback_tail), theta),
         b=math.exp(gs.log_r) * b_scaled,
         log10_b=log10_b,
         ratio=ratio,

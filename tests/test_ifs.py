@@ -15,12 +15,12 @@ from favlab.ifs import (
     TailWord,
     _convex_hull,
     compose_geoms,
-    geom_power,
     norm_angle,
     parse_word,
     similarity_dimension,
     word_str,
 )
+from oracle import geom_power, iterated_pi_point
 
 
 def fig1():
@@ -145,6 +145,16 @@ def test_fixed_point():
     assert ifs.maps[2].fixed_point() == pytest.approx((0.0, 1.0))
 
 
+def test_composed_fixed_point():
+    # a word's geometry has a fixed point too: the coded point of its period
+    flipped = IFS.from_maps([Similitude(0.4, 1.0, -1, 0.3, -0.2), *fig1().maps[1:]])
+    for ifs in (fig1(), flipped):
+        for w in [(1,), (1, 2), (3, 1, 2), (2, 1) * 7]:
+            g = ifs.compose(w)
+            z = g.fixed_point()
+            assert g.apply(z) == pytest.approx(z, abs=1e-15)
+
+
 # ---------------------------------------------------------------- tail words
 
 
@@ -205,12 +215,14 @@ def test_mass_band_matches_enumeration():
 def test_pi_point_fixed_tails():
     ifs = fig1()
     # [TRIVIAL] the tail 2~ codes the fixed point of map 2
-    (x, y), err = ifs.pi_point(ifs.compose(()), TailWord((), (2,)))
+    (x, y), err = iterated_pi_point(ifs, ifs.compose(()), TailWord((), (2,)), 1e-12)
     assert abs(x - 1.0) < 1e-9 and abs(y) < 1e-9 and err < 1e-9
+    assert ifs.pi_point(ifs.compose(()), TailWord((), (2,))) == pytest.approx((1.0, 0.0), abs=1e-15)
     # prefixing applies the word's map
-    (x, y), err = ifs.pi_point(ifs.compose((3,)), TailWord((), (2,)))
+    (x, y), err = iterated_pi_point(ifs, ifs.compose((3,)), TailWord((), (2,)), 1e-12)
     fx, fy = ifs.maps[2].apply((1.0, 0.0))
     assert abs(x - fx) < 1e-9 and abs(y - fy) < 1e-9
+    assert ifs.pi_point(ifs.compose((3,)), TailWord((), (2,))) == pytest.approx((fx, fy), abs=1e-15)
 
 
 def test_enclosing_disk_invariant():

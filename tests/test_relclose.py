@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 
+import mpmath
 import pytest
 
 from favlab import relclose, rotation
@@ -16,6 +17,7 @@ from favlab.relclose import (
     grow_family,
     power_family,
 )
+from oracle import iterated_pi_point, mp_pi_point
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +33,8 @@ def _check_oracle(ifs, u, v, eps, theta, omega):
     ok_i = math.exp(-eps) < ratio < math.exp(eps)
     d = abs(norm_angle(gu.theta - gv.theta))
     ok_ii = min(d, 2 * math.pi - d) < eps and gu.orient == gv.orient
-    (xu, yu), eu = ifs.pi_point(gu, omega, tol=1e-14)
-    (xv, yv), ev = ifs.pi_point(gv, omega, tol=1e-14)
+    (xu, yu), eu = iterated_pi_point(ifs, gu, omega, 1e-14)
+    (xv, yv), ev = iterated_pi_point(ifs, gv, omega, 1e-14)
     proj = abs(
         (xu - xv) * math.cos(theta) + (yu - yv) * math.sin(theta)
     )
@@ -52,9 +54,23 @@ def test_check_relclose_zero_angle_pair(ifs):
 
 
 def _perp(ifs, omega):
-    (xu, yu), _ = ifs.pi_point(ifs.compose((2,)), omega)
-    (xv, yv), _ = ifs.pi_point(ifs.compose((3,)), omega)
+    xu, yu = ifs.pi_point(ifs.compose((2,)), omega)
+    xv, yv = ifs.pi_point(ifs.compose((3,)), omega)
     return norm_angle(math.atan2(yv - yu, xv - xu) + math.pi / 2)
+
+
+def test_check_relclose_at_eps_near_rounding(ifs):
+    """At eps = 1e-14 the threshold eps*D*r_u is about 30 ulps of the
+    coordinates; the closed-form points decide it, as 60-digit points do."""
+    omega, eps = TailWord((), (1,)), 1e-14
+    theta = _perp(ifs, omega)
+    rep = check_relclose(ifs, (2,), (3,), eps, theta, omega)
+    with mpmath.workdps(60):
+        pu, pv = (mp_pi_point(ifs, w, omega) for w in ((2,), (3,)))
+        offset = abs(((pu - pv) * mpmath.expj(-mpmath.mpf(theta))).real)
+        thresh = mpmath.mpf(eps) * ifs.D * mpmath.exp(ifs.compose((2,)).log_r)
+        assert rep.passed
+        assert rep.passed == (offset < thresh)
 
 
 def test_check_relclose_fails_orthogonal(ifs):

@@ -1,10 +1,11 @@
 """Word geometry is composed once per word: the table-driven ``IFS.compose``,
 the level-at-a-time mass-band descent, the neighbourhood length read from the
-band's columns and the cached anchor tails of ``pi_point`` must give the bits
+band's columns and the cached anchor points of ``pi_point`` must give the bits
 of the word-by-word path they replace.  That path is copied here: a left fold
 of ``compose_geoms`` over per-symbol geometries, mass bands recomposed word by
 word from the root, one ``CylinderGeometry.apply`` per band word and an
-uncached ``pi_point``."""
+uncached closed-form ``pi_point``.  The closed form is also checked against
+the iterated point of ``tests/oracle.py`` and a 60-digit evaluation."""
 
 import hashlib
 import itertools
@@ -30,10 +31,10 @@ from favlab.ifs import (
     Similitude,
     TailWord,
     compose_geoms,
-    geom_power,
     row_words,
 )
 from favlab.favard import merge_intervals, neighborhood_projection_length
+from oracle import iterated_pi_point, mp_pi_point
 
 
 def fig1():
@@ -99,17 +100,9 @@ def old_band(ifs, r, cap=2_000_000):
     return CylinderBatch.of([old_compose(ifs, w) for w in words]), old_rows(ifs, words)
 
 
-def old_pi_point(ifs, u, anchor, tol=1e-12, g=IDENTITY):
-    g_per = old_compose(ifs, anchor.period)
-    if g_per.log_r >= 0.0:
-        raise ConfigError("anchor period does not contract")
-    k = max(1, math.ceil(math.log(tol) / g_per.log_r))
-    g_tail = compose_geoms(old_compose(ifs, anchor.prefix), geom_power(g_per, k))
-    q = g_tail.apply(ifs.center)
-    g_u = old_compose(ifs, u, g)
-    p = g_u.apply(q)
-    err = ifs.D * math.exp(min(g_u.log_r + g_tail.log_r, 0.0))
-    return p, err
+def old_pi_point(ifs, u, anchor, g=IDENTITY):
+    q = old_compose(ifs, anchor.prefix).apply(old_compose(ifs, anchor.period).fixed_point())
+    return old_compose(ifs, u, g).apply(q)
 
 
 @pytest.fixture
@@ -117,8 +110,7 @@ def word_by_word(monkeypatch):
     """Route IFS.compose, IFS.band and IFS.pi_point through the copies above."""
     monkeypatch.setattr(IFS, "compose", lambda self, u, g=IDENTITY: old_compose(self, u, g))
     monkeypatch.setattr(IFS, "band", lambda self, r, cap=2_000_000: old_band(self, r, cap))
-    monkeypatch.setattr(IFS, "pi_point", lambda self, g_u, anchor, tol=1e-12:
-                        old_pi_point(self, (), anchor, tol, g_u))
+    monkeypatch.setattr(IFS, "pi_point", lambda self, g_u, anchor: old_pi_point(self, (), anchor, g_u))
 
 
 def mixed_system(seed, reflect=True):
@@ -363,20 +355,41 @@ def test_cached_pi_point_is_uncached(ifs):
     words = [(), (1,), (2, 3), (3, 1, 2, 1), (1,) * 40]
     for _ in range(2):  # the second round reads the cache
         for anchor in ANCHORS:
-            for tol in (1e-6, 1e-12, 1e-15):
-                for s, u in itertools.product([(), (2, 1), (1,) * 30], words):
-                    (x, y), err = ifs.pi_point(ifs.compose(u, ifs.compose(s)), anchor, tol=tol)
-                    (ox, oy), oerr = old_pi_point(ifs, s + u, anchor, tol=tol)
-                    assert (x.hex(), y.hex(), err.hex()) == (ox.hex(), oy.hex(), oerr.hex())
+            for s, u in itertools.product([(), (2, 1), (1,) * 30], words):
+                g = ifs.compose(u, ifs.compose(s))
+                x, y = ifs.pi_point(g, anchor)
+                ox, oy = old_pi_point(ifs, s + u, anchor)
+                assert (x.hex(), y.hex()) == (ox.hex(), oy.hex())
+                # the iterated point's radius is rigorous up to its rounding
+                for tol in (1e-6, 1e-12, 1e-15):
+                    (ix, iy), radius = iterated_pi_point(ifs, g, anchor, tol)
+                    assert abs(x - ix) <= radius + 4 * math.ulp(x)
+                    assert abs(y - iy) <= radius + 4 * math.ulp(y)
 
 
 def test_tail_cache_is_bounded():
     ifs = fig1()
-    anchor = TailWord((1,), (2, 3))
     for i in range(TAIL_CACHE + 50):
-        tol = 1e-12 * (1.0 + i * 1e-6)
-        assert ifs.pi_point(ifs.compose((1,)), anchor, tol) == old_pi_point(ifs, (1,), anchor, tol)
+        # distinct prefixes of one length before one period: distinct anchors
+        anchor = TailWord(tuple(int(d) + 1 for d in np.base_repr(i, 3).zfill(8)), (2, 3))
+        assert ifs.pi_point(ifs.compose((1,)), anchor) == old_pi_point(ifs, (1,), anchor)
     assert len(ifs._tails) == TAIL_CACHE
+
+
+@pytest.mark.parametrize("ifs", [fig1(), mixed_system(1)])
+def test_pi_point_is_the_exact_point_to_rounding(ifs):
+    """The closed form against the coded point of the same float maps in
+    60-digit arithmetic, for words of 0 to 40 symbols."""
+    rng = random.Random(7)
+    lengths = (0, 1, 2, 3, 5, 8, 13, 21, 30, 40)
+    words = [tuple(rng.randint(1, ifs.m) for _ in range(n)) for n in lengths]
+    worst = 0.0
+    for anchor in ANCHORS:
+        for u in words:
+            x, y = ifs.pi_point(ifs.compose(u), anchor)
+            z = mp_pi_point(ifs, u, anchor)
+            worst = max(worst, float(abs(complex(x, y) - z)))
+    assert worst <= 1e-15 * ifs.D
 
 
 def test_bad_anchor_is_not_cached():
