@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .errors import ConfigError, FavlabError, Indeterminate, NumericOverflow, RationalAlpha
 from .exprs import parse_expr
-from .ifs import IFS, attractor_hull, parse_word
+from .ifs import IFS, attractor_hull, parse_word, read_json
 from .favard import (
     bound_constant,
     bound_curves,
@@ -71,11 +71,7 @@ def read_text(path):
 
 def _load_cert(path, ifs):
     """The certificate at path, with every pair verified on ifs."""
-    try:
-        data = json.loads(read_text(path))
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: {e}")
-    return _verify_all(ifs, RelCloseCertificate.from_dict(data))
+    return _verify_all(ifs, RelCloseCertificate.from_dict(read_json(path)))
 
 
 def cmd_dim(args):

@@ -88,6 +88,17 @@ def finite_number(value, what):
     return x
 
 
+def read_json(path):
+    """The JSON document in the file at path, for configs and certificates.
+    An unreadable file, bad UTF-8 or JSON, nesting past the recursion limit
+    and an integer past Python's digit limit are config errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as e:  # ValueError: encoding, JSON or integer
+        raise ConfigError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}") from None
+
+
 @dataclass(frozen=True)
 class CylinderGeometry:
     """Parameters of a composed map F_u: ratio product, net angle, orientation,
@@ -289,12 +300,7 @@ class IFS:
 
     @classmethod
     def from_json(cls, path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as e:  # ValueError: bad JSON or encoding
-            raise ConfigError(str(e))
-        return cls.from_dict(data)
+        return cls.from_dict(read_json(path))
 
     @property
     def m(self):

@@ -10,12 +10,20 @@ period from the centre of the enclosing disk until the residual contraction
 drops below a tolerance, and returns a rigorous error radius with it;
 ``IFS.pi_point``'s closed form is checked against it, and against
 ``mp_pi_point``, the coded point of the same float maps in 60-digit
-arithmetic."""
+arithmetic.
+
+``reference_parse_expr`` is a hand-written tokenizer and recursive-descent
+parser of the CLI expression grammar, which ``favlab.exprs.parse_expr``,
+built on Python's own parser, is checked against."""
 
 import math
+import re
+from fractions import Fraction
 
 import mpmath
 
+from favlab.errors import ConfigError
+from favlab.exprs import ExprValue
 from favlab.favard import merge_intervals
 from favlab.ifs import IDENTITY, DiskBody, compose_geoms
 
@@ -107,3 +115,100 @@ def mp_pi_point(ifs, word, anchor, dps=60):
         for _ in range(steps):
             z = apply(anchor.period, z)
         return apply(word, apply(anchor.prefix, z))
+
+
+_TOKEN = re.compile(r"\s*(\d+\.\d*|\.\d+|\d+|pi|sqrt|[()+\-*/])")
+
+
+def _tokenize(text):
+    out, pos = [], 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise ConfigError(f"bad expression near {text[pos:]!r}")
+            break
+        out.append(m.group(1))
+        pos = m.end()
+    return out
+
+
+def reference_parse_expr(text, dps=40):
+    """The ExprValue of text, read token by token by recursive descent."""
+    tokens = _tokenize(text)
+    idx = [0]
+
+    def peek():
+        return tokens[idx[0]] if idx[0] < len(tokens) else None
+
+    def take(expected=None):
+        tok = peek()
+        if tok is None or (expected is not None and tok != expected):
+            raise ConfigError(f"expected {expected or 'token'} in {text!r}")
+        idx[0] += 1
+        return tok
+
+    def atom():
+        tok = take()
+        if tok == "(":
+            v = expr()
+            take(")")
+            return v
+        if tok == "-":
+            mp, ex = atom()
+            return -mp, None if ex is None else -ex
+        if tok == "pi":
+            return +mpmath.pi, None
+        if tok == "sqrt":
+            take("(")
+            inner = take()
+            take(")")
+            if not inner.isdigit():
+                raise ConfigError("sqrt takes an integer literal")
+            n = int(inner)
+            root = math.isqrt(n)
+            exact = Fraction(root) if root * root == n else None
+            return mpmath.sqrt(n), exact
+        if re.fullmatch(r"\d+\.\d*|\.\d+|\d+", tok):
+            return mpmath.mpf("0" + tok), Fraction(tok)  # mpmath misreads ".0"
+        raise ConfigError(f"unexpected token {tok!r} in {text!r}")
+
+    def term():
+        mp, ex = atom()
+        while peek() in ("*", "/"):
+            op = take()
+            mp2, ex2 = atom()
+            if op == "*":
+                mp = mp * mp2
+                ex = None if ex is None or ex2 is None else ex * ex2
+            else:
+                if mp2 == 0:
+                    raise ConfigError(f"division by zero in {text!r}")
+                mp = mp / mp2
+                ex = None if ex is None or ex2 is None else ex / ex2
+        return mp, ex
+
+    def expr():
+        mp, ex = term()
+        while peek() in ("+", "-"):
+            op = take()
+            mp2, ex2 = term()
+            if op == "+":
+                mp = mp + mp2
+                ex = None if ex is None or ex2 is None else ex + ex2
+            else:
+                mp = mp - mp2
+                ex = None if ex is None or ex2 is None else ex - ex2
+        return mp, ex
+
+    with mpmath.workdps(dps):
+        try:
+            mp, ex = expr()
+        except RecursionError:
+            raise ConfigError("expression nests too deeply") from None
+        if idx[0] != len(tokens):
+            raise ConfigError(f"trailing input in {text!r}")
+        value = ExprValue(+mp, ex)
+    if not math.isfinite(value.value):
+        raise ConfigError(f"{text!r} exceeds the float range")
+    return value

@@ -55,7 +55,8 @@ class Flags:
 
 
 expression = st.sampled_from(("0", "1", "3/7", "-2/3", "sqrt(2)", "(1+sqrt(5))/2", "pi/3"))
-EXPRESSIONS_BAD = ("1e3", "1/0", "(", "sqrt(x)", "9" * 400, "-" + "9" * 310, "9" * 308)
+EXPRESSIONS_BAD = ("1e3", "1/0", "(", "sqrt(x)", "9" * 400, "-" + "9" * 310, "9" * 308,
+                   "9" * 4301)
 word = st.sampled_from(("", "1", "2", "3", "12", "23", "213", "9", "0", "1a"))
 
 # JSON values of a map field: in range, out of range, non-finite, wrong type
@@ -107,6 +108,10 @@ def files(tmp_path_factory):
         {"r": 0.999, "theta": 0.0, "tx": 0.0, "ty": 0.0},
         {"r": 0.1, "theta": 1.0, "tx": 1.0, "ty": 0.0},
     ]}))
+    (root / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    # past Python's 4,300-digit limit on integer strings
+    (root / "long_eps.json").write_text(
+        '{"words": ["2", "3"], "eps": ' + "1" * 5001 + ', "theta": 0.0, "omegas": []}')
     return root
 
 
@@ -260,11 +265,21 @@ def _run(argv):
          "ERROR verification: pair (2, 3) fails at eps=1e-09"),
         (["relclose", "double", "--ifs", FIG1, "--cert", "{forged}", "--eps", "1"], 1,
          "ERROR verification: pair (2, 3) fails at eps=1e-09"),
+        # inputs that once ended in a ValueError or a RecursionError traceback
+        (["net", "--theta-over-pi", "9" * 5000, "--eps", "0.1"], 2, "ERROR config: bad expression"),
+        (["dioph", "--alpha", "1/" + "3" * 4400, "--nmax", "100", "--d", "2"], 2,
+         "ERROR config: bad expression"),
+        (["dim", "--ifs", "{deep}"], 2, "ERROR config: cannot read"),
+        (["density", "--ifs", FIG1, "--theta", "0", "--n", "6", "--cert", "{deep}"], 2,
+         "ERROR config: cannot read"),
+        (["density", "--ifs", FIG1, "--theta", "0", "--n", "6", "--cert", "{long_eps}"], 2,
+         "ERROR config: cannot read"),
     ],
 )
 def test_boundary_inputs(files, argv, code, last):
     paths = {"series": files / "series.csv", "near_limit": files / "near_limit.json",
-             "skew": files / "skew.json", "forged": files / "forged.json"}
+             "skew": files / "skew.json", "forged": files / "forged.json",
+             "deep": files / "deep.json", "long_eps": files / "long_eps.json"}
     got, stdout, line = _run([a.format(**paths) for a in argv])
     assert (got, stdout) == (code, "")
     assert last in line

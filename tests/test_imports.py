@@ -1,12 +1,15 @@
-"""Every name a module of ``src/favlab`` imports is used in it: referenced
-as a name anywhere in the module, or listed in its ``__all__``."""
+"""Every name a module of ``src/favlab``, the tests' oracle or a script
+imports is used in it: referenced as a name anywhere in the module, or
+listed in its ``__all__``."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "favlab"
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "favlab").glob("*.py")) + [ROOT / "tests" / "oracle.py"] + sorted(
+    (ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source):
@@ -31,6 +34,6 @@ def test_the_guard_sees_an_unused_import():
     assert unused_imports(source) == [(1, "math"), (3, "A")]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
