@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .errors import ConfigError, FavlabError, Indeterminate, NumericOverflow, RationalAlpha
 from .exprs import parse_expr
-from .ifs import IFS, attractor_hull, parse_word, read_json
+from .ifs import IFS, attractor_hull, parse_word, read_json, read_text
 from .favard import (
     bound_constant,
     bound_curves,
@@ -58,15 +58,6 @@ def emit(text, path=None):
             raise ConfigError(f"cannot write {path}: {e.strerror or e}")
     else:
         sys.stdout.write(text)
-
-
-def read_text(path):
-    """The text of the file at path; an unreadable file is a config error."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as e:
-        raise ConfigError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}")
 
 
 def _load_cert(path, ifs):

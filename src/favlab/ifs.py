@@ -88,15 +88,25 @@ def finite_number(value, what):
     return x
 
 
-def read_json(path):
-    """The JSON document in the file at path, for configs and certificates.
-    An unreadable file, bad UTF-8 or JSON, nesting past the recursion limit
-    and an integer past Python's digit limit are config errors."""
+def read_text(path):
+    """The text of the file at path; an unreadable file or bad UTF-8 is a
+    config error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError, RecursionError) as e:  # ValueError: encoding, JSON or integer
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}") from None
+
+
+def read_json(path):
+    """The JSON document in the file at path, for configs and certificates.
+    Beside read_text's errors, bad JSON, nesting past the recursion limit
+    and an integer past Python's digit limit are config errors."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:  # ValueError: JSON or integer
+        raise ConfigError(f"cannot read {path}: {e}") from None
 
 
 @dataclass(frozen=True)

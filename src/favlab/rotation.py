@@ -1,5 +1,5 @@
-"""Circle-rotation combinatorics: orbit nets, Diophantine profiling from
-continued fractions, and steering suffixes."""
+"""Circle-rotation combinatorics: orbit nets from the three-gap theorem,
+Diophantine profiling from continued fractions, and steering suffixes."""
 
 from __future__ import annotations
 
@@ -36,39 +36,15 @@ class DiophProfile:
     d_hat: float
 
 
-class _SortedOrbit:
-    """The orbit {k*theta1 mod 2*pi : k = 1..n} sorted once, at the longest n
-    asked for so far, with each point's index."""
-
-    def __init__(self, theta1):
-        self.theta1, self.n = theta1, 0
-
-    def max_gap(self, p):
-        """Largest circular gap of the first p points: the sorted orbit keeps
-        the points of index < p, so it sorts only when p passes n."""
-        if p == 1:
-            return TWO_PI
-        if p > self.n:
-            angles = (np.arange(1, p + 1, dtype=float) * self.theta1) % TWO_PI
-            self.index = np.argsort(angles, kind="stable")
-            self.angles, self.n = angles[self.index], p
-        angles = self.angles if p == self.n else self.angles[self.index < p]
-        gaps = np.diff(angles)
-        wrap = angles[0] + TWO_PI - angles[-1]
-        return float(max(gaps.max(), wrap))
-
-
-def _three_gap_guess(theta1, eps):
+def _three_gap(theta1, eps):
     """Least N whose exact orbit {k*alpha mod 1 : k = 1..N}, alpha =
-    theta1/2pi, has largest gap below e = eps/2pi; None where the expansion
-    of alpha ends first.
+    theta1/2pi, has largest gap below e = eps/2pi, with that gap in radians
+    rounded once; None where the expansion of alpha ends first.
 
     Three-gap theorem: with delta_{-1} = 1, delta_0 = alpha, a_j =
     delta_{j-1} // delta_j, delta_{j+1} = delta_{j-1} - a_j delta_j and q_j
     the denominators, every N = m q_j + q_{j-1} + r (1 <= m <= a_j,
     0 <= r < q_j) has largest gap delta_{j-1} - (m-1) delta_j."""
-    if not math.isfinite(eps):
-        return None
     e = Fraction(eps) / Fraction(TWO_PI)
     d0, d1 = Fraction(1), Fraction(theta1) / Fraction(TWO_PI)
     q0, q1 = 0, 1
@@ -76,7 +52,7 @@ def _three_gap_guess(theta1, eps):
         a = d0 // d1
         m = max(1, (d0 - e) // d1 + 2)
         if m <= a:
-            return m * q1 + q0
+            return m * q1 + q0, float((d0 - (m - 1) * d1) * Fraction(TWO_PI))
         d0, d1 = d1, d0 - a * d1
         q0, q1 = q1, a * q1 + q0
     return None
@@ -84,50 +60,22 @@ def _three_gap_guess(theta1, eps):
 
 def epsilon_net(theta1, eps, p_max, d=2.0):
     """Smallest p <= p_max whose orbit {k*theta1 : k=1..p} has max circular
-    gap below eps.
-
-    The float gap is nonincreasing in p: a new point splits one gap, and
-    rounded sums and differences are monotone in their operands.  So p is
-    the one index with gap(p) < eps <= gap(p - 1), whatever order the search
-    probes in.  It starts at the three-gap answer of the exact orbit (at 1
-    where there is none), gallops outward from it until that holds across a
-    bracket and bisects the bracket."""
+    gap below eps, from the three-gap theorem on the exact orbit of the
+    float angle; max_gap is that orbit's largest gap.  One point, gap 2*pi,
+    serves every eps above 2*pi (or infinite or NaN)."""
     if eps <= 0.0 or p_max < 1:
         raise PreconditionViolated("eps > 0 and p_max >= 1 required")
     theta1 = norm_angle(theta1)
-    gap = _SortedOrbit(theta1).max_gap
-
-    def short(p):  # the first p points leave a gap of eps or more
-        return gap(p) >= eps
-
-    n = min(_three_gap_guess(theta1, eps) or 1, p_max)
-    # the bracket (lo, hi]: short(lo), not short(hi), lo = 0 counting as short
-    step = 1
-    if short(n):
-        lo = n
-        while True:
-            if lo >= p_max:
-                raise NoNetWithinBound(
-                    f"no eps-net with p <= {p_max} for theta1={theta1:.6g}, eps={eps:.6g}"
-                )
-            hi = min(lo + step, p_max)
-            if not short(hi):
-                break
-            lo, step = hi, 2 * step
-    else:
-        lo, hi = n - 1, n
-        while lo >= 1 and not short(lo):
-            lo, hi, step = max(lo - 2 * step, 0), lo, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if short(mid):
-            lo = mid
-        else:
-            hi = mid
-    c1_hat = hi * eps ** (d + 1)
+    net = (1, TWO_PI) if not eps <= TWO_PI else _three_gap(theta1, eps)
+    if net is None or net[0] > p_max:
+        raise NoNetWithinBound(
+            f"no eps-net with p <= {p_max} for theta1={theta1:.6g}, eps={eps:.6g}"
+        )
+    p, max_gap = net
+    c1_hat = p * eps ** (d + 1)
     if not math.isfinite(c1_hat):
-        raise NumericOverflow(f"c1_hat = {hi} * eps^{d + 1} exceeds the float range")
-    return NetResult(p=hi, max_gap=gap(hi), c1_hat=c1_hat)
+        raise NumericOverflow(f"c1_hat = {p} * eps^{d + 1} exceeds the float range")
+    return NetResult(p=p, max_gap=max_gap, c1_hat=c1_hat)
 
 
 def _continued_fraction_convergents(frac, n_max):

@@ -7,7 +7,7 @@ import math
 
 from .errors import LevelTooLarge
 from .favard import merge_intervals
-from .ifs import exceeds
+from .ifs import DiskBody, exceeds
 
 SVG_SIZE = 640  # pixels across the point cloud
 GLYPH_CAP = 200_000  # circles of one drawing
@@ -52,8 +52,7 @@ def render_svg(ifs, depth, theta=None):
             'fill="steelblue" fill-opacity="0.6"/>'
         )
     if theta is not None:
-        mid = xs * math.cos(theta) + ys * math.sin(theta)
-        merged = merge_intervals(mid - radii, mid + radii)
+        merged = merge_intervals(*DiskBody(ifs.center, ifs.R0).interval(cover, theta))
         y0 = SVG_SIZE + 10
         for a, b in merged.intervals:
             x0 = (a - (cx * math.cos(theta) + cy * math.sin(theta))) * scale + SVG_SIZE / 2.0

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import shlex
+import shutil
 import subprocess
 import sys
 import time
@@ -537,3 +539,29 @@ def test_script_errors_exit_without_traceback(tmp_path, script, argv, code, last
     assert "Traceback" not in r.stderr
     assert last in r.stderr.splitlines()[-1]
     assert r.stdout == ""
+
+
+def readme_cli_block():
+    """The commands of the README's CLI block, the fenced sh block that
+    starts with favlab dim, each split as the shell would split it."""
+    text = (SCRIPTS.parent / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in text.split("```sh\n")[1:] if b.startswith("favlab dim"))
+    return [shlex.split(line, comments=True) for line in block.split("```")[0].splitlines()]
+
+
+def test_readme_cli_block_runs_as_written(tmp_path):
+    # run in order from a copy of configs/ and scripts/, as from a checkout:
+    # later lines read what earlier ones write
+    for part in ("configs", "scripts"):
+        shutil.copytree(SCRIPTS.parent / part, tmp_path / part)
+    prefix = {"favlab": [sys.executable, "-m", "favlab.cli"], "python": [sys.executable]}
+    commands = readme_cli_block()
+    assert len(commands) >= 10
+    for argv in commands:
+        r = subprocess.run(
+            [*prefix[argv[0]], *argv[1:]], capture_output=True, text=True,
+            cwd=tmp_path, env=src_env(), timeout=120,
+        )
+        assert r.returncode == 0, (argv, r.stderr)
+        out = (r.stdout + r.stderr).splitlines()
+        assert [line for line in out if "ERROR" in line or "WARNING" in line] == [], argv

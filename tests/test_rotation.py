@@ -1,11 +1,14 @@
 import bisect
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import src_env
 
 from favlab import cli, rotation
 from favlab.errors import NoNetWithinBound, NumericOverflow, PreconditionViolated, RationalAlpha
@@ -126,7 +129,8 @@ def test_steering_suffix(monkeypatch):
 # ------------------------------------------- the scan and the search replaced
 # find_rotation_word scanned the powers one k at a time, and epsilon_net
 # doubled p from 1 and bisected, sorting the orbit afresh at every probe.
-# Both are kept here as oracles of the array scan and the three-gap search.
+# Both are kept here as oracles: of the array scan's words, and of the
+# three-gap net's p, c1_hat and errors.
 
 
 def old_find_rotation_word(ifs, eps):
@@ -180,12 +184,25 @@ def old_epsilon_net(theta1, eps, p_max, d=2.0):
 
 
 def outcome(fn, *args):
-    """The result with its floats as bits, or the error's repr."""
+    """The result's p and c1_hat bits, or the error's repr.  The doubling
+    search's max_gap is the float orbit's, which drifts from the exact gap
+    as p grows; the exact orbits below are the oracles of max_gap."""
     try:
         res = fn(*args)
     except Exception as e:
         return repr(e)
-    return res.p, res.max_gap.hex(), res.c1_hat.hex()
+    return res.p, res.c1_hat.hex()
+
+
+def exact_orbit_max_gap(theta1, p):
+    """[DERIVED] the largest gap of {k*theta1 mod 2pi : k = 1..p} in exact
+    arithmetic, rounded once: with theta1/2pi = A/B, the orbit is {k*A mod B}
+    over B."""
+    alpha = Fraction(norm_angle(theta1)) / Fraction(TWO_PI)
+    a, b = alpha.numerator, alpha.denominator
+    pts = sorted(k * a % b for k in range(1, p + 1))
+    gap = max([y - x for x, y in zip(pts, pts[1:])] + [pts[0] + b - pts[-1]])
+    return float(Fraction(gap, b) * Fraction(TWO_PI))
 
 
 FIG1_THETA = 2 * math.pi * ALPHA
@@ -227,8 +244,11 @@ def test_three_gap_guess_is_the_exact_orbit_answer(theta1):
     for eps in (2.0, 0.5, 0.1, 0.04, 0.02):
         e = Fraction(eps) / Fraction(TWO_PI)
         want = next((n for n, g in enumerate(gaps, start=1) if g < e), None)
-        guess = rotation._three_gap_guess(theta1, eps)
-        assert guess == want if want else guess > len(gaps)
+        got = rotation._three_gap(theta1, eps)
+        if want:
+            assert got == (want, float(gaps[want - 1] * Fraction(TWO_PI)))
+        else:
+            assert got[0] > len(gaps)
 
 
 @pytest.mark.parametrize("argv", [
@@ -242,11 +262,38 @@ def test_net_command_prints_the_doubling_search_result(capsys, argv):
     theta1 = cli.parse_expr(args.theta_over_pi).value * math.pi
     try:
         net = old_epsilon_net(theta1, args.eps, args.pmax, d=args.d)
-        want = (0, f"p {net.p} max_gap {net.max_gap} c1_hat {net.c1_hat}\n", "")
+        gap = exact_orbit_max_gap(theta1, net.p)
+        want = (0, f"p {net.p} max_gap {gap} c1_hat {net.c1_hat}\n", "")
     except NoNetWithinBound as e:
         want = (1, "", f"ERROR {e}\n")
     out, err = capsys.readouterr()
     assert (code, out, err.split("\n", 1)[1]) == want
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit or wider long double")
+def test_epsilon_net_max_gap_is_the_extended_precision_orbits():
+    # at p = 1,136,689 a float orbit's largest gap is 1.1e-5 (relative) from
+    # the exact one; an orbit in 64-bit mantissas is within about 1e-8 of it
+    theta1 = norm_angle(FIG1_THETA)
+    net = epsilon_net(theta1, 1e-5, 10_000_000)
+    k = np.arange(1, net.p + 1, dtype=np.longdouble)
+    pts = np.sort(k * np.longdouble(theta1) % np.longdouble(TWO_PI))
+    gap = max(np.diff(pts).max(), pts[0] + np.longdouble(TWO_PI) - pts[-1])
+    assert net.p == 1_136_689
+    assert abs(net.max_gap - gap) < 1e-7 * gap
+
+
+def test_net_command_answers_a_net_past_a_hundred_million_points():
+    # a float orbit of every point here takes about 4.7 GB to sort; the 3 GB
+    # address-space cap makes a search that forms it fail fast, not fill memory
+    r = subprocess.run(
+        ["sh", "-c", 'ulimit -v 3145728 && exec "$@"', "sh",
+         sys.executable, "-m", "favlab.cli", "net", "--theta-over-pi", "1+sqrt(2)",
+         "--eps", "1e-7", "--pmax", "1000000000"],
+        capture_output=True, text=True, env=src_env(), timeout=5,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split()[:2] == ["p", "147830751"]
 
 
 def _rotating_system(thetas):
